@@ -8,6 +8,7 @@ log verbosity. Sweep cells and seeds run in a worker pool under --jobs N.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
@@ -20,8 +21,7 @@ import numpy as np
 from . import __version__, io, metrics as metrics_mod, toydata
 from .config import RunConfig
 from .denoiser import Condition, GmmDenoiser, GmmModel, Mixture
-from .pie import (PieConfig, Trajectory, check_bound_suite, diff_heatmap,
-                  pie_run, run_bound_suite)
+from .pie import Trajectory, check_bound_suite, diff_heatmap, pie_run, run_bound_suite
 from .scheduler import build_schedule
 from .transition import concat_clips, generate_transition, make_clip_skeleton
 
@@ -48,9 +48,11 @@ def _load_reference_states(cfg: RunConfig):
     return [io.read_tensor(cfg.base_dir / p) for p in paths]
 
 
-def _metric_rows(run_id, traj: Trajectory, model, y_target, embedder, reference):
-    """Per-stage rows (run_id, stage, conf, clip_i, kid, mae); kid is a set
-    metric and stays nan at stage level, mae needs reference states."""
+def _write_metrics(run_dir: Path, seed: int, traj: Trajectory, model, y_target, embedder,
+                   reference):
+    """Write and return metrics.csv's per-stage rows (run_id, stage, conf,
+    clip_i, kid, mae); kid is a set metric and stays nan at stage level, mae
+    needs reference states."""
     cos = metrics_mod.stage_cosines(traj, embedder) if traj.N >= 1 else np.array([])
     rows = []
     for n in range(traj.N + 1):
@@ -59,12 +61,30 @@ def _metric_rows(run_id, traj: Trajectory, model, y_target, embedder, reference)
         ref_err = math.nan
         if reference is not None and n < len(reference):
             ref_err = metrics_mod.mae(traj.states[n], reference[n])
-        rows.append((run_id, n, conf, ci, math.nan, ref_err))
+        rows.append((f"seed{seed}", n, conf, ci, math.nan, ref_err))
+    io.write_csv(run_dir / "metrics.csv", ["run_id", "stage", "conf", "clip_i", "kid", "mae"], rows)
     return rows
+
+
+def _map(fn, args: list[tuple], jobs: int) -> list:
+    """fn over argument tuples, in order; in a worker pool when jobs > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, *zip(*args)))
+    return [fn(*a) for a in args]
+
+
+def _write_frames(out_dir: Path, prefix: str, frames, first: int = 0):
+    """Write frames as prefix_NNN.mvgt, numbered from first, plus a .pgm for 2-D ones."""
+    for n, frame in enumerate(frames, start=first):
+        io.write_tensor(out_dir / f"{prefix}_{n:03d}.mvgt", frame)
+        if frame.ndim == 2:
+            io.write_pgm(out_dir / f"{prefix}_{n:03d}.pgm", frame)
 
 
 def _write_run_dir(run_dir: Path, traj: Trajectory, cfg: RunConfig, seed: int):
     run_dir.mkdir(parents=True, exist_ok=True)
+    model = cfg.model()
     manifest = {
         "status": "incomplete",
         "seed": seed,
@@ -73,38 +93,27 @@ def _write_run_dir(run_dir: Path, traj: Trajectory, cfg: RunConfig, seed: int):
         "schedule": cfg.schedule().to_dict(),
         "pie": cfg.pie_config(seed).to_dict(),
         "domain": cfg.domain().to_dict(),
-        "model": cfg.model().to_dict(),
+        "model": model.to_dict(),
         "n_states": traj.N + 1,
         "states": [f"state_{n:03d}.mvgt" for n in range(traj.N + 1)],
     }
     io.write_json(run_dir / "manifest.json", manifest)
 
-    for n, state in enumerate(traj.states):
-        io.write_tensor(run_dir / f"state_{n:03d}.mvgt", state)
-        if state.ndim == 2:
-            io.write_pgm(run_dir / f"state_{n:03d}.pgm", state)
-    for n in range(1, traj.N + 1):
-        hm = diff_heatmap(traj.states[n], traj.states[n - 1])
-        io.write_tensor(run_dir / f"heatmap_{n:03d}.mvgt", hm)
-        if hm.ndim == 2:
-            io.write_pgm(run_dir / f"heatmap_{n:03d}.pgm", hm)
+    _write_frames(run_dir, "state", traj.states)
+    _write_frames(run_dir, "heatmap",
+                  [diff_heatmap(b, a) for a, b in zip(traj.states, traj.states[1:])], first=1)
     io.write_csv(run_dir / "deltas.csv", ["stage", "delta"],
                  [(n + 1, repr(float(d))) for n, d in enumerate(traj.step_deltas)])
 
-    model = cfg.model()
-    _, y_target = cfg.conditions()
-    rows = _metric_rows(f"seed{seed}", traj, model, y_target, cfg.embedder(),
-                        _load_reference_states(cfg))
-    io.write_csv(run_dir / "metrics.csv",
-                 ["run_id", "stage", "conf", "clip_i", "kid", "mae"], rows)
+    rows = _write_metrics(run_dir, seed, traj, model, cfg.conditions()[1], cfg.embedder(),
+                          _load_reference_states(cfg))
 
     manifest["status"] = "complete"
     io.write_json(run_dir / "manifest.json", manifest)
     return rows
 
 
-def _simulate_one(raw: dict, base_dir: str, seed: int, out_dir: str):
-    cfg = RunConfig.from_dict(raw, base_dir=base_dir)
+def _simulate_one(cfg: RunConfig, seed: int, out_dir: str):
     traj = pie_run(cfg.start_image(), cfg.conditions()[1], cfg.pie_config(seed),
                    cfg.denoiser(), cfg.mask(), cfg.schedule())
     rows = _write_run_dir(Path(out_dir) / f"seed_{seed:04d}", traj, cfg, seed)
@@ -114,12 +123,7 @@ def _simulate_one(raw: dict, base_dir: str, seed: int, out_dir: str):
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, seeds: list[int], jobs: int = 1) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    args = [(cfg.raw, str(cfg.base_dir), seed, str(out_dir)) for seed in seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            all_rows = list(pool.map(_simulate_one, *zip(*args)))
-    else:
-        all_rows = [_simulate_one(*a) for a in args]
+    all_rows = _map(_simulate_one, [(cfg, seed, str(out_dir)) for seed in seeds], jobs)
 
     # seed-averaged per-stage summary plus a terminal-state set distance
     by_stage: dict[int, list] = {}
@@ -173,20 +177,14 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
             clip = generate_transition(skel, mask, den, sched, y_target, y_target, gamma)
             clip_dir = run_dir / f"clip_{n:03d}"
             clip_dir.mkdir(exist_ok=True)
-            for j in range(clip.K):
-                io.write_tensor(clip_dir / f"frame_{j:03d}.mvgt", clip.frames[j])
-                if clip.frames[j].ndim == 2:
-                    io.write_pgm(clip_dir / f"frame_{j:03d}.pgm", clip.frames[j])
+            _write_frames(clip_dir, "frame", clip.frames)
             io.write_json(clip_dir / "manifest.json",
                           {"K": clip.K, "seed": clip_seed, "start_state": n - 1, "end_state": n})
             clips.append(clip)
         video_clip = concat_clips(clips)
         video_dir = run_dir / "video"
         video_dir.mkdir(exist_ok=True)
-        for j in range(video_clip.K):
-            io.write_tensor(video_dir / f"frame_{j:03d}.mvgt", video_clip.frames[j])
-            if video_clip.frames[j].ndim == 2:
-                io.write_pgm(video_dir / f"frame_{j:03d}.pgm", video_clip.frames[j])
+        _write_frames(video_dir, "frame", video_clip.frames)
         io.write_json(video_dir / "manifest.json", {
             "frames": video_clip.K,
             "clips": len(clips),
@@ -197,26 +195,17 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
     return 0
 
 
-def _ablate_cell(raw: dict, base_dir: str, overrides: dict, seeds: list[int]):
+def _ablate_cell(cfg: RunConfig, overrides: dict, seeds: list[int]):
     """One sweep cell: seeds-averaged terminal confidence, trajectory clip_i,
     and terminal-set kid against a reference sample of the target condition."""
-    cfg = RunConfig.from_dict(raw, base_dir=base_dir)
     model, sched, mask = cfg.model(), cfg.schedule(), cfg.mask()
     den = GmmDenoiser(model, sched)
     _, y_target = cfg.conditions()
     emb = cfg.embedder()
     x0 = cfg.start_image()
-    p = cfg.raw["pie"]
     confs, clip_is, terminal = [], [], []
     for seed in seeds:
-        pc = PieConfig(
-            N=overrides.get("N", p["N"]),
-            gamma=overrides.get("gamma", p["gamma"]),
-            beta1=overrides.get("beta1", p["beta1"]),
-            beta2=overrides.get("beta2", p["beta2"]),
-            seed=seed,
-            composite_origin=p.get("composite_origin", True),
-        )
+        pc = dataclasses.replace(cfg.pie_config(seed), **overrides)
         traj = pie_run(x0, y_target, pc, den, mask, sched)
         confs.append(metrics_mod.confidence(traj.states[-1], y_target, model))
         clip_is.append(metrics_mod.clip_i(traj, emb))
@@ -234,12 +223,7 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, seeds: list[int], jobs: int = 1) -
         + [("steps", {"N": n, "gamma": 0.5}) for n in STEPS_SWEEP]
         + [("beta", {"beta1": b1, "beta2": b2}) for b1 in BETA1_SWEEP for b2 in BETA2_SWEEP]
     )
-    args = [(cfg.raw, str(cfg.base_dir), overrides, seeds) for _table, overrides in cells]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_ablate_cell, *zip(*args)))
-    else:
-        results = [_ablate_cell(*a) for a in args]
+    results = _map(_ablate_cell, [(cfg, overrides, seeds) for _table, overrides in cells], jobs)
 
     tables = {"gamma": [], "steps": [], "beta": []}
     for (table, overrides), (conf, ci, cell_kid) in zip(cells, results):
@@ -304,12 +288,8 @@ def cmd_metrics(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
     reference = _load_reference_states(cfg)
     for seed in seeds:
         run_dir = out_dir / f"seed_{seed:04d}"
-        states = _read_states(run_dir)
-        deltas = np.array([np.linalg.norm((b - a).ravel()) for a, b in zip(states, states[1:])])
-        traj = Trajectory(states=states, step_deltas=deltas)
-        rows = _metric_rows(f"seed{seed}", traj, model, y_target, emb, reference)
-        io.write_csv(run_dir / "metrics.csv",
-                     ["run_id", "stage", "conf", "clip_i", "kid", "mae"], rows)
+        traj = Trajectory.from_states(_read_states(run_dir))
+        _write_metrics(run_dir, seed, traj, model, y_target, emb, reference)
         print(f"metrics: recomputed {run_dir / 'metrics.csv'}")
     return 0
 

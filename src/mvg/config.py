@@ -78,7 +78,6 @@ SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "metrics": {"type": "array", "items": {"enum": ["conf", "clip_i", "kid", "mae"]}},
         "embedder": {
             "type": "object",
             "properties": {
@@ -140,7 +139,6 @@ DEFAULTS = {
     "mask": {"kind": "disk", "params": {"center": [10.0, 10.0], "radius": 5.5}},
     "condition": {"source": {"class_id": 0, "severity": 0.0}, "target": {"class_id": 1, "severity": 1.0}},
     "start": {"kind": "mean", "class_id": 0, "severity": 0.0, "seed": 1234},
-    "metrics": ["conf", "clip_i", "kid", "mae"],
     "embedder": {"kind": "identity", "out_dim": 64, "seed": 0},
     "kid_reference": {"count": 100, "seed": 777},
     "video": {"K": 16, "gamma": 0.6, "seed": 0},  # desk-scale configs use K=8
@@ -181,6 +179,7 @@ class RunConfig:
         except jsonschema.ValidationError as err:
             raise InvalidArgument(f"config invalid at {list(err.absolute_path)}: {err.message}") from err
         cfg = cls(raw=_merged(raw), base_dir=Path(base_dir))
+        cfg.domain()  # rejects unknown domain and class keys
         cfg._check_files()
         return cfg
 
@@ -220,9 +219,7 @@ class RunConfig:
         return toydata.make_mask(spec, mc["kind"], mc.get("params", {}))
 
     def pie_config(self, seed: int) -> PieConfig:
-        p = self.raw["pie"]
-        return PieConfig(N=p["N"], gamma=p["gamma"], beta1=p["beta1"], beta2=p["beta2"],
-                         seed=seed, composite_origin=p.get("composite_origin", True))
+        return PieConfig(seed=seed, **self.raw["pie"])
 
     def conditions(self) -> tuple[Condition, Condition]:
         c = self.raw["condition"]

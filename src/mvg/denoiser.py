@@ -6,8 +6,10 @@ level ᾱ is Σᵢ wᵢ·N(√ᾱ·μᵢ, (ᾱσᵢ² + 1−ᾱ)I), so the optim
     ε̂(x, t, y) = −√(1−ᾱ_t)·∇ₓ log p_t(x|y)
                = √(1−ᾱ_t)·Σᵢ rᵢ(x)·(x − √ᾱ_t·μᵢ)/Vᵢ,   Vᵢ = ᾱ_t σᵢ² + 1−ᾱ_t
 
-is available exactly, with responsibilities rᵢ computed in log space. The
-Parzen variant is the σᵢ→0 limit over a finite dataset.
+is available exactly, with responsibilities rᵢ computed in log space. Both
+denoisers and the density share one component kernel: the Parzen variant *is*
+that kernel at zero component variance (σᵢ = 0, so Vᵢ = 1−ᾱ_t), with uniform
+weights over a finite dataset as the means.
 """
 
 from __future__ import annotations
@@ -88,17 +90,12 @@ class Mixture:
         return int(np.prod(self.event_shape))
 
 
-def mixture_logpdf(x: np.ndarray, mix: Mixture, alpha_bar: float = 1.0) -> float:
-    """log density of the ᾱ-diffused mixture at x (ᾱ=1 gives the data density)."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    mu = mix.means.reshape(len(mix.weights), -1)
-    if x.shape[0] != mu.shape[1]:
-        raise ShapeMismatch(f"x has dim {x.shape[0]}, mixture has dim {mu.shape[1]}")
-    var = alpha_bar * mix.variances + (1.0 - alpha_bar)
-    d = x.shape[0]
-    sq = np.sum((x[None, :] - np.sqrt(alpha_bar) * mu) ** 2, axis=1)
-    comp = np.log(mix.weights) - 0.5 * d * np.log(2 * np.pi * var) - sq / (2 * var)
-    return float(logsumexp(comp))
+def _component_logits(x_flat, log_w, mu, var, alpha_bar: float) -> np.ndarray:
+    """log(wᵢ·N(x; √ᾱ·μᵢ, VᵢI)) per component, given diffused variances var = V."""
+    d = x_flat.shape[0]
+    with np.errstate(over="ignore"):  # inf distance -> -inf density
+        sq = np.sum((x_flat[None, :] - np.sqrt(alpha_bar) * mu) ** 2, axis=1)
+    return log_w - 0.5 * d * np.log(2 * np.pi * var) - sq / (2 * var)
 
 
 def _logsumexp1d(a: np.ndarray) -> float:
@@ -109,17 +106,26 @@ def _logsumexp1d(a: np.ndarray) -> float:
     return float(m + np.log(np.exp(a - m).sum()))
 
 
-def _log_responsibilities(x_flat, mix: Mixture, alpha_bar: float):
-    mu = mix.means.reshape(len(mix.weights), -1)
-    var = alpha_bar * mix.variances + (1.0 - alpha_bar)
-    d = x_flat.shape[0]
-    with np.errstate(over="ignore"):  # inf distance -> -inf density, handled below
-        sq = np.sum((x_flat[None, :] - np.sqrt(alpha_bar) * mu) ** 2, axis=1)
-    comp = np.log(mix.weights) - 0.5 * d * np.log(2 * np.pi * var) - sq / (2 * var)
+def _posterior_eps(x_flat, log_w, mu, var, alpha_bar: float) -> np.ndarray:
+    """√(1−ᾱ)·Σᵢ rᵢ(x)·(x − √ᾱ·μᵢ)/Vᵢ with log-space responsibilities rᵢ;
+    raises DegenerateMixture when every component weight underflows."""
+    comp = _component_logits(x_flat, log_w, mu, var, alpha_bar)
     total = _logsumexp1d(comp)
     if not np.isfinite(total):
         raise DegenerateMixture("all mixture responsibilities underflowed")
-    return comp - total, var, mu
+    r = np.exp(comp - total)
+    score_terms = (x_flat[None, :] - np.sqrt(alpha_bar) * mu) / var[:, None]
+    return np.sqrt(1.0 - alpha_bar) * np.einsum("i,ij->j", r, score_terms)
+
+
+def mixture_logpdf(x: np.ndarray, mix: Mixture, alpha_bar: float = 1.0) -> float:
+    """log density of the ᾱ-diffused mixture at x (ᾱ=1 gives the data density)."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    mu = mix.means.reshape(len(mix.weights), -1)
+    if x.shape[0] != mu.shape[1]:
+        raise ShapeMismatch(f"x has dim {x.shape[0]}, mixture has dim {mu.shape[1]}")
+    var = alpha_bar * mix.variances + (1.0 - alpha_bar)
+    return float(logsumexp(_component_logits(x, np.log(mix.weights), mu, var, alpha_bar)))
 
 
 class GmmModel:
@@ -198,16 +204,15 @@ def gmm_eps(x: np.ndarray, t: int, y, m: GmmModel, s: NoiseSchedule) -> np.ndarr
     if x.shape != mix.event_shape:
         raise ShapeMismatch(f"x shape {x.shape} vs mixture shape {mix.event_shape}")
     ab = s.alpha_bars[t]
-    x_flat = x.reshape(-1)
-    log_r, var, mu = _log_responsibilities(x_flat, mix, ab)
-    r = np.exp(log_r)
-    score_terms = (x_flat[None, :] - np.sqrt(ab) * mu) / var[:, None]
-    eps = np.sqrt(1.0 - ab) * np.einsum("i,ij->j", r, score_terms)
+    mu = mix.means.reshape(len(mix.weights), -1)
+    var = ab * mix.variances + (1.0 - ab)
+    eps = _posterior_eps(x.reshape(-1), np.log(mix.weights), mu, var, ab)
     return eps.reshape(x.shape)
 
 
 def parzen_eps(x: np.ndarray, t: int, dataset, s: NoiseSchedule) -> np.ndarray:
-    """Empirical kernel denoiser over a finite dataset (σ→0 mixture limit)."""
+    """Empirical kernel denoiser: the shared kernel with the dataset as equally
+    weighted means and zero component variance (the σ→0 mixture limit)."""
     t = _check_step(t, s)
     if len(dataset) == 0:
         raise InvalidArgument("dataset must be non-empty")
@@ -218,12 +223,10 @@ def parzen_eps(x: np.ndarray, t: int, dataset, s: NoiseSchedule) -> np.ndarray:
     ab = s.alpha_bars[t]
     if 1.0 - ab == 0.0:
         raise InvalidArgument("parzen_eps needs alpha_bar_t < 1")
-    x_flat = x.reshape(-1)
-    d_flat = data.reshape(len(data), -1)
-    logits = -np.sum((x_flat[None, :] - np.sqrt(ab) * d_flat) ** 2, axis=1) / (2 * (1 - ab))
-    w = np.exp(logits - logsumexp(logits))
-    x0_post = w @ d_flat
-    return ((x_flat - np.sqrt(ab) * x0_post) / np.sqrt(1.0 - ab)).reshape(x.shape)
+    n = len(data)
+    eps = _posterior_eps(x.reshape(-1), np.full(n, -np.log(n)), data.reshape(n, -1),
+                         np.full(n, 1.0 - ab), ab)
+    return eps.reshape(x.shape)
 
 
 class Denoiser(Protocol):

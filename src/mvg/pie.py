@@ -11,7 +11,7 @@ run-origin image inside/outside the ROI mask:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -43,14 +43,7 @@ class PieConfig:
                 raise InvalidArgument(f"{name} must be in [0,1], got {v}")
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "gamma": self.gamma,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "seed": self.seed,
-            "composite_origin": self.composite_origin,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -69,6 +62,12 @@ class Trajectory:
         if d.size and (not np.all(np.isfinite(d)) or np.any(d < 0)):
             raise InvalidArgument("step deltas must be finite and non-negative")
         self.step_deltas = d
+
+    @classmethod
+    def from_states(cls, states, config: PieConfig | None = None) -> "Trajectory":
+        """Trajectory whose step deltas are the L2 norms between consecutive states."""
+        deltas = np.array([np.linalg.norm((b - a).ravel()) for a, b in zip(states, states[1:])])
+        return cls(states=states, step_deltas=deltas, config=config)
 
     @property
     def N(self) -> int:
@@ -161,8 +160,7 @@ def pie_run(x0, y_target, cfg: PieConfig, d, m, s: NoiseSchedule) -> Trajectory:
     states = [x0.copy()]
     for n in range(1, cfg.N + 1):
         states.append(pie_stage(states[-1], x0, y_target, cfg, d, m, s, stage_index=n))
-    deltas = np.array([np.linalg.norm((b - a).ravel()) for a, b in zip(states, states[1:])])
-    return Trajectory(states=states, step_deltas=deltas, config=cfg)
+    return Trajectory.from_states(states, cfg)
 
 
 def step_decay_fit(traj: Trajectory, burn_in: int) -> float:
@@ -216,8 +214,7 @@ def svd_walk(x0, y_source, y_target, cfg: PieConfig, d, s: NoiseSchedule) -> Tra
         eps = rng.normal(x0.shape, cfg.seed, stage=n)
         x_k = forward_diffuse(x0, k, eps, s)
         states.append(ddim_chain(x_k, k, d, y_n, s))
-    deltas = np.array([np.linalg.norm((b - a).ravel()) for a, b in zip(states, states[1:])])
-    return Trajectory(states=states, step_deltas=deltas, config=cfg)
+    return Trajectory.from_states(states, cfg)
 
 
 def extrapolation_walk(x0, manifold_a, manifold_b, N: int) -> Trajectory:
@@ -233,8 +230,7 @@ def extrapolation_walk(x0, manifold_a, manifold_b, N: int) -> Trajectory:
     states = [x0.copy()]
     for n in range(1, N + 1):
         states.append(x0 + (n / N) * delta)
-    deltas = np.array([np.linalg.norm((v - u).ravel()) for u, v in zip(states, states[1:])])
-    return Trajectory(states=states, step_deltas=deltas)
+    return Trajectory.from_states(states)
 
 
 def diff_heatmap(a, b) -> np.ndarray:
@@ -283,8 +279,7 @@ def decay_probe_run(x0, denoiser, y, s: NoiseSchedule, n_stages: int, seed: int)
         c2 = max(c2, float(np.linalg.norm(e_hat.ravel())))
         x = ddim_step(v, 2, e_hat, s)
         states.append(x)
-    deltas = np.array([np.linalg.norm((b - a).ravel()) for a, b in zip(states, states[1:])])
-    traj = Trajectory(states=states, step_deltas=deltas)
+    traj = Trajectory.from_states(states)
     return DecayProbeResult(trajectory=traj, c1=float(np.linalg.norm(x0.ravel())), c2_observed=c2, seed=seed)
 
 
@@ -349,16 +344,12 @@ def check_bound_suite(result: BoundSuiteResult, slope_rtol: float = 0.2,
         return [CheckOutcome(name, True, detail)
                 for name in ("decay_slope", "step_envelope", "n_min_upper_bound", "drift_kappa")]
 
-    outcomes = []
     slope = result.mean_slope()
     target = result.target_slope
-    if slope is None:
-        outcomes.append(CheckOutcome("decay_slope", True, "all deltas zero; decay trivially satisfied"))
-    else:
-        rel = abs(slope - target) / abs(target)
-        outcomes.append(CheckOutcome(
-            "decay_slope", rel <= slope_rtol,
-            f"slope {slope:.5f} vs target {target:.5f} (rel. dev. {rel:.1%})"))
+    rel = abs(slope - target) / abs(target)
+    outcomes = [CheckOutcome(
+        "decay_slope", rel <= slope_rtol,
+        f"slope {slope:.5f} vs target {target:.5f} (rel. dev. {rel:.1%})")]
 
     env_fail, drift_fail, nmin_ok = [], [], 0
     for p, b in zip(result.probes, result.bounds):

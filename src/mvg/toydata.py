@@ -9,7 +9,7 @@ uniformly weighted within a class, with per-pixel noise σ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,6 +24,9 @@ class ClassSpec:
     center: tuple[float, float]  # (row, col)
     base_radius: float = 2.0
     base_intensity: float = 0.2
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", tuple(self.center))
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,8 @@ class DomainSpec:
     feather: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "classes", tuple(self.classes))
+        object.__setattr__(self, "severity_grid", tuple(self.severity_grid))
         for c in self.classes:
             r_max = c.base_radius + self.radius_gain
             if r_max > min(self.height, self.width) / 2:
@@ -60,41 +65,17 @@ class DomainSpec:
         raise InvalidArgument(f"unknown class_id {class_id}")
 
     def to_dict(self) -> dict:
-        return {
-            "height": self.height,
-            "width": self.width,
-            "classes": [
-                {
-                    "class_id": c.class_id,
-                    "center": list(c.center),
-                    "base_radius": c.base_radius,
-                    "base_intensity": c.base_intensity,
-                }
-                for c in self.classes
-            ],
-            "radius_gain": self.radius_gain,
-            "intensity_gain": self.intensity_gain,
-            "noise_sigma": self.noise_sigma,
-            "severity_grid": list(self.severity_grid),
-            "feather": self.feather,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DomainSpec":
-        classes = tuple(
-            ClassSpec(c["class_id"], tuple(c["center"]), c.get("base_radius", 2.0), c.get("base_intensity", 0.2))
-            for c in d.get("classes", [])
-        ) or cls().classes
-        return cls(
-            height=d.get("height", 16),
-            width=d.get("width", 16),
-            classes=classes,
-            radius_gain=d.get("radius_gain", 3.0),
-            intensity_gain=d.get("intensity_gain", 0.6),
-            noise_sigma=d.get("noise_sigma", 0.05),
-            severity_grid=tuple(d.get("severity_grid", (0.0, 0.25, 0.5, 0.75, 1.0))),
-            feather=d.get("feather", 1.0),
-        )
+        """Build from config keys; absent keys keep the dataclass defaults."""
+        try:
+            if "classes" in d:
+                d = {**d, "classes": [ClassSpec(**c) for c in d["classes"]]}
+            return cls(**d)
+        except TypeError as err:
+            raise InvalidArgument(f"domain: {err}") from err
 
 
 def _disk_profile(shape, center, radius, feather):

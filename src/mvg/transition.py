@@ -17,7 +17,7 @@ import numpy as np
 from . import rng
 from .denoiser import blend_conditions
 from .errors import InvalidArgument, SeamMismatch, ShapeMismatch
-from .pie import validate_mask
+from .pie import composite_roi, validate_mask
 from .scheduler import NoiseSchedule, ddim_step, forward_diffuse
 
 
@@ -56,12 +56,6 @@ def make_clip_skeleton(x_start, x_end, K: int, seed: int) -> VideoClip:
     return VideoClip(frames=frames, seed=seed)
 
 
-def _masked_average_composite(gen, avg, mask):
-    m = mask[..., None] if gen.ndim == mask.ndim + 1 else mask
-    blended = (1.0 - m) * avg + m * gen
-    return np.where(m == 0.0, avg, np.where(m == 1.0, gen, blended))
-
-
 def generate_transition(skel: VideoClip, m, d, s: NoiseSchedule, y_start, y_end,
                         gamma: float) -> VideoClip:
     """Denoise the skeleton's middle frames into a coherent transition clip."""
@@ -87,7 +81,7 @@ def generate_transition(skel: VideoClip, m, d, s: NoiseSchedule, y_start, y_end,
 
     avg = 0.5 * (x_start + x_end)
     for j in range(K):
-        frames[j] = _masked_average_composite(frames[j], avg, mask)
+        frames[j] = composite_roi(frames[j], avg, mask, 0.0, 1.0)
     frames[0] = x_start
     frames[K - 1] = x_end
     return VideoClip(frames=frames, seed=skel.seed)

@@ -83,9 +83,12 @@ class TestConfig:
             RunConfig.load(path)
 
     def test_unknown_key_rejected(self, tmp_path):
-        path = write_config(tmp_path, {"strength": 0.5})
-        with pytest.raises(InvalidArgument):
-            RunConfig.load(path)
+        misspelt_class = {"class_id": 0, "center": [5.0, 5.0], "radius": 3.0}
+        for overrides in ({"strength": 0.5}, {"metrics": ["conf"]},
+                          {"domain": {"hieght": 8}}, {"domain": {"classes": [misspelt_class]}}):
+            path = write_config(tmp_path, overrides)
+            with pytest.raises(InvalidArgument):
+                RunConfig.load(path)
 
     def test_missing_reference_rejected(self, tmp_path):
         path = write_config(tmp_path, {"mask": {"kind": "file", "path": "nope.mvgt"}})
@@ -229,6 +232,15 @@ class TestAblate:
         assert [r[0] for r in rows] == ["1", "5", "10", "50", "100"]
         header, rows = read_csv(out / "ablate_beta.csv")
         assert header == ["beta1", "beta2", "conf", "clip_i", "kid"] and len(rows) == 9
+
+    def test_jobs_pool_matches_inline(self, tmp_path):
+        path = write_config(tmp_path, {"seeds": [0, 1], "pie": {"N": 2}})
+        for out, jobs in (("inline", "1"), ("pooled", "2")):
+            assert main(["ablate", "--config", str(path), "--out", str(tmp_path / out),
+                         "--jobs", jobs]) == 0
+        for name in ("ablate_gamma.csv", "ablate_steps.csv", "ablate_beta.csv"):
+            inline = (tmp_path / "inline" / name).read_bytes()
+            assert inline == (tmp_path / "pooled" / name).read_bytes(), name
 
 
 class TestVerifyBounds:

@@ -102,6 +102,8 @@ class TestGmmEps:
             Mixture(np.array([1.0]), np.array([[0.0]]), np.array([1e-300])))
         with pytest.raises(DegenerateMixture):
             gmm_eps(np.array([1e160]), 50, Condition(0), model, sched50)
+        with pytest.raises(DegenerateMixture):  # Parzen shares the kernel
+            parzen_eps(np.array([1e160]), 50, [[0.0]], sched50)
 
 
 class TestParzenEps:
