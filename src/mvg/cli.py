@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__, io, metrics as metrics_mod, toydata
 from .config import RunConfig
 from .denoiser import Condition, GmmDenoiser, GmmModel, Mixture
+from .errors import InvalidArgument
 from .pie import Trajectory, check_bound_suite, diff_heatmap, pie_run, run_bound_suite
 from .scheduler import build_schedule
 from .transition import concat_clips, generate_transition, make_clip_skeleton
@@ -218,21 +219,18 @@ def _ablate_cell(cfg: RunConfig, overrides: dict, seeds: list[int]):
 
 def cmd_ablate(cfg: RunConfig, out_dir: Path, seeds: list[int], jobs: int = 1) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
+    # (table, key columns, PieConfig overrides) per sweep cell
     cells = (
-        [("gamma", {"gamma": g}) for g in GAMMA_SWEEP]
-        + [("steps", {"N": n, "gamma": 0.5}) for n in STEPS_SWEEP]
-        + [("beta", {"beta1": b1, "beta2": b2}) for b1 in BETA1_SWEEP for b2 in BETA2_SWEEP]
+        [("gamma", (g,), {"gamma": g}) for g in GAMMA_SWEEP]
+        + [("steps", (n,), {"N": n, "gamma": 0.5}) for n in STEPS_SWEEP]
+        + [("beta", (b1, b2), {"beta1": b1, "beta2": b2})
+           for b1 in BETA1_SWEEP for b2 in BETA2_SWEEP]
     )
-    results = _map(_ablate_cell, [(cfg, overrides, seeds) for _table, overrides in cells], jobs)
+    results = _map(_ablate_cell, [(cfg, overrides, seeds) for _t, _k, overrides in cells], jobs)
 
     tables = {"gamma": [], "steps": [], "beta": []}
-    for (table, overrides), (conf, ci, cell_kid) in zip(cells, results):
-        if table == "gamma":
-            tables["gamma"].append((overrides["gamma"], conf, ci, cell_kid))
-        elif table == "steps":
-            tables["steps"].append((overrides["N"], conf, ci, cell_kid))
-        else:
-            tables["beta"].append((overrides["beta1"], overrides["beta2"], conf, ci, cell_kid))
+    for (table, keys, _overrides), result in zip(cells, results):
+        tables[table].append(keys + result)
     io.write_csv(out_dir / "ablate_gamma.csv", ["gamma", "conf", "clip_i", "kid"], tables["gamma"])
     io.write_csv(out_dir / "ablate_steps.csv", ["steps", "conf", "clip_i", "kid"], tables["steps"])
     io.write_csv(out_dir / "ablate_beta.csv", ["beta1", "beta2", "conf", "clip_i", "kid"], tables["beta"])
@@ -295,9 +293,12 @@ def cmd_metrics(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
 
 
 def _parse_seeds(text: str | None, cfg: RunConfig) -> list[int]:
-    if text:
-        return [int(s) for s in text.split(",") if s.strip()]
-    return cfg.seeds()
+    if not text:
+        return cfg.seeds()
+    seeds = [int(s) for s in text.split(",") if s.strip()]
+    if len(set(seeds)) != len(seeds):
+        raise InvalidArgument(f"duplicate seeds in --seeds {text}")
+    return seeds
 
 
 def main(argv=None) -> int:
@@ -308,13 +309,17 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seeds", default=None, help="comma-separated seed list")
-        p.add_argument("--jobs", type=int, default=1, help="worker pool size")
+        if name != "verify-bounds":  # the decay suite takes its seed count from verify.seeds
+            p.add_argument("--seeds", default=None, help="comma-separated seed list")
+        if name in ("simulate", "ablate"):
+            p.add_argument("--jobs", type=int, default=1, help="worker pool size")
     args = parser.parse_args(argv)
 
     try:
         cfg = RunConfig.load(args.config)
         out_dir = Path(args.out) if args.out else cfg.out_dir()
+        if args.command == "verify-bounds":
+            return cmd_verify_bounds(cfg, out_dir)
         seeds = _parse_seeds(args.seeds, cfg)
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir, seeds, jobs=args.jobs)
@@ -322,8 +327,6 @@ def main(argv=None) -> int:
             return cmd_video(cfg, out_dir, seeds)
         if args.command == "ablate":
             return cmd_ablate(cfg, out_dir, seeds, jobs=args.jobs)
-        if args.command == "verify-bounds":
-            return cmd_verify_bounds(cfg, out_dir)
         if args.command == "metrics":
             return cmd_metrics(cfg, out_dir, seeds)
         raise AssertionError(args.command)

@@ -28,19 +28,25 @@ _CONDITION = {
     "additionalProperties": False,
 }
 
+_SCHEDULE = {
+    "type": "object",
+    "properties": {
+        "T": {"type": "integer", "minimum": 1},
+        "beta_start": {"type": ["number", "null"]},
+        "beta_end": {"type": ["number", "null"]},
+    },
+    "additionalProperties": False,
+}
+
+# mask.params keys make_mask reads per kind; full, empty and file read none and
+# accept either set, so a config can switch its kind and keep its old params
+_MASK_PARAMS = {"disk": ["center", "radius", "feather"], "rect": ["y0", "x0", "y1", "x1"]}
+
 SCHEMA = {
     "type": "object",
     "properties": {
         "domain": {"type": "object"},
-        "schedule": {
-            "type": "object",
-            "properties": {
-                "T": {"type": "integer", "minimum": 1},
-                "beta_start": {"type": ["number", "null"]},
-                "beta_end": {"type": ["number", "null"]},
-            },
-            "additionalProperties": False,
-        },
+        "schedule": _SCHEDULE,
         "pie": {
             "type": "object",
             "properties": {
@@ -56,11 +62,15 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "kind": {"enum": ["disk", "rect", "full", "empty", "file"]},
-                "params": {"type": "object"},
+                "params": {"type": "object",
+                           "propertyNames": {"enum": sum(_MASK_PARAMS.values(), [])}},
                 "path": {"type": "string"},
             },
             "required": ["kind"],
             "additionalProperties": False,
+            "allOf": [{"if": {"properties": {"kind": {"const": kind}}},
+                       "then": {"properties": {"params": {"propertyNames": {"enum": keys}}}}}
+                      for kind, keys in _MASK_PARAMS.items()],
         },
         "condition": {
             "type": "object",
@@ -110,14 +120,15 @@ SCHEMA = {
                 "delta": {"type": "number", "exclusiveMinimum": 0},
                 "x0_scale": {"type": "number"},
                 "burn_in": {"type": "integer", "minimum": 0},
-                "schedule": {"type": "object"},
+                "schedule": _SCHEDULE,
             },
             "additionalProperties": False,
         },
         "out_dir": {"type": "string"},
         "seeds": {
             "oneOf": [
-                {"type": "array", "items": {"type": "integer"}, "minItems": 1},
+                {"type": "array", "items": {"type": "integer"}, "minItems": 1,
+                 "uniqueItems": True},
                 {
                     "type": "object",
                     "properties": {
@@ -148,6 +159,9 @@ DEFAULTS = {
     "seeds": [0, 1, 2, 3, 4],
 }
 
+# SCHEMA is constant: the tests check it against the metaschema, not every load
+_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
 
 def _merged(raw: dict) -> dict:
     out = json.loads(json.dumps(DEFAULTS))
@@ -174,10 +188,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir=".") -> "RunConfig":
-        try:
-            jsonschema.validate(raw, SCHEMA)
-        except jsonschema.ValidationError as err:
-            raise InvalidArgument(f"config invalid at {list(err.absolute_path)}: {err.message}") from err
+        err = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+        if err is not None:
+            raise InvalidArgument(f"config invalid at {list(err.absolute_path)}: {err.message}")
         cfg = cls(raw=_merged(raw), base_dir=Path(base_dir))
         cfg.domain()  # rejects unknown domain and class keys
         cfg._check_files()
@@ -216,14 +229,14 @@ class RunConfig:
         mc = self.raw["mask"]
         if mc["kind"] == "file":
             return io.read_tensor(self.base_dir / mc["path"])
-        return toydata.make_mask(spec, mc["kind"], mc.get("params", {}))
+        return toydata.make_mask(spec, mc["kind"], mc["params"])
 
     def pie_config(self, seed: int) -> PieConfig:
         return PieConfig(seed=seed, **self.raw["pie"])
 
     def conditions(self) -> tuple[Condition, Condition]:
         c = self.raw["condition"]
-        src = c.get("source", c["target"])
+        src = c["source"]
         return (
             Condition(src["class_id"], src.get("severity", 0.0)),
             Condition(c["target"]["class_id"], c["target"].get("severity", 1.0)),
@@ -232,16 +245,16 @@ class RunConfig:
     def start_image(self) -> np.ndarray:
         st = self.raw["start"]
         spec = self.domain()
-        mean = toydata.render_mean(spec, st.get("class_id", 0), st.get("severity", 0.0))
+        mean = toydata.render_mean(spec, st["class_id"], st["severity"])
         if st["kind"] == "sample":
             # noisy instance of the requested (class, severity) state
-            noise = rng.normal(mean.shape, st.get("seed", 0))
+            noise = rng.normal(mean.shape, st["seed"])
             return mean + spec.noise_sigma * noise
         return mean
 
     def embedder(self):
         e = self.raw["embedder"]
-        return make_embedder(e["kind"], e.get("out_dim", 64), e.get("seed", 0))
+        return make_embedder(e["kind"], e["out_dim"], e["seed"])
 
     def seeds(self) -> list[int]:
         spec = self.raw["seeds"]

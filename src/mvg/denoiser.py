@@ -34,9 +34,6 @@ class Condition:
     def __post_init__(self):
         object.__setattr__(self, "severity", float(min(1.0, max(0.0, self.severity))))
 
-    def to_dict(self) -> dict:
-        return {"class_id": self.class_id, "severity": self.severity}
-
 
 @dataclass(frozen=True)
 class ConditionBlend:

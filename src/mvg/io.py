@@ -1,7 +1,7 @@
 """File formats: the bit-exact tensor container, PGM image export, CSV, JSON.
 
 Tensor container layout (little-endian): magic ``MVGT``, u32 ndim, ndim×u32
-dims, then dims-product float32 values in row-major order.
+dims, then dims-product float32 values in row-major order, and nothing after them.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ def read_tensor(path) -> np.ndarray:
         data = np.frombuffer(f.read(4 * count), dtype="<f4")
         if data.size != count:
             raise InvalidArgument(f"{path}: truncated payload")
+        if f.read(1):
+            raise InvalidArgument(f"{path}: trailing bytes after the payload")
         if not np.all(np.isfinite(data)):
             raise InvalidArgument(f"{path}: non-finite values")
     return data.reshape(dims).astype(np.float64)

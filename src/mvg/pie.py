@@ -52,8 +52,6 @@ class Trajectory:
 
     states: list[np.ndarray]
     step_deltas: np.ndarray
-    config: PieConfig | None = None
-    metrics: dict | None = None
 
     def __post_init__(self):
         if len(self.step_deltas) != len(self.states) - 1:
@@ -64,10 +62,10 @@ class Trajectory:
         self.step_deltas = d
 
     @classmethod
-    def from_states(cls, states, config: PieConfig | None = None) -> "Trajectory":
+    def from_states(cls, states) -> "Trajectory":
         """Trajectory whose step deltas are the L2 norms between consecutive states."""
         deltas = np.array([np.linalg.norm((b - a).ravel()) for a, b in zip(states, states[1:])])
-        return cls(states=states, step_deltas=deltas, config=config)
+        return cls(states=states, step_deltas=deltas)
 
     @property
     def N(self) -> int:
@@ -155,12 +153,10 @@ def pie_stage(x_prev, x_origin, y, cfg: PieConfig, d, m, s: NoiseSchedule, stage
 def pie_run(x0, y_target, cfg: PieConfig, d, m, s: NoiseSchedule) -> Trajectory:
     """Run the edit recursion for cfg.N stages, conditioning every stage on y_target."""
     x0 = np.asarray(x0, dtype=np.float64)
-    if cfg.N >= 1:
-        stage_step_count(cfg, s)  # fail fast on k=0
     states = [x0.copy()]
     for n in range(1, cfg.N + 1):
         states.append(pie_stage(states[-1], x0, y_target, cfg, d, m, s, stage_index=n))
-    return Trajectory.from_states(states, cfg)
+    return Trajectory.from_states(states)
 
 
 def step_decay_fit(traj: Trajectory, burn_in: int) -> float:
@@ -214,7 +210,7 @@ def svd_walk(x0, y_source, y_target, cfg: PieConfig, d, s: NoiseSchedule) -> Tra
         eps = rng.normal(x0.shape, cfg.seed, stage=n)
         x_k = forward_diffuse(x0, k, eps, s)
         states.append(ddim_chain(x_k, k, d, y_n, s))
-    return Trajectory.from_states(states, cfg)
+    return Trajectory.from_states(states)
 
 
 def extrapolation_walk(x0, manifold_a, manifold_b, N: int) -> Trajectory:
@@ -331,12 +327,14 @@ class CheckOutcome:
     detail: str
 
 
-def check_bound_suite(result: BoundSuiteResult, slope_rtol: float = 0.2,
-                      envelope_from: int = 5, nmin_quorum: int | None = None) -> list[CheckOutcome]:
-    """Evaluate the decay-suite assertions; nmin_quorum defaults to 90% of seeds."""
+SLOPE_RTOL = 0.2       # allowed relative deviation of the fitted decay slope
+ENVELOPE_FROM = 5      # first stage whose delta the envelope must dominate
+NMIN_QUORUM = 0.9      # share of seeds whose first sub-delta stage n_min must bound
+
+
+def check_bound_suite(result: BoundSuiteResult) -> list[CheckOutcome]:
+    """Evaluate the decay-suite assertions."""
     n_seeds = len(result.probes)
-    if nmin_quorum is None:
-        nmin_quorum = math.ceil(0.9 * n_seeds)
     if result.negligible():
         # zero-noise schedule: every delta is numerically zero, the decay
         # statements hold vacuously and the envelope constants are meaningless
@@ -348,14 +346,14 @@ def check_bound_suite(result: BoundSuiteResult, slope_rtol: float = 0.2,
     target = result.target_slope
     rel = abs(slope - target) / abs(target)
     outcomes = [CheckOutcome(
-        "decay_slope", rel <= slope_rtol,
+        "decay_slope", rel <= SLOPE_RTOL,
         f"slope {slope:.5f} vs target {target:.5f} (rel. dev. {rel:.1%})")]
 
     env_fail, drift_fail, nmin_ok = [], [], 0
     for p, b in zip(result.probes, result.bounds):
         deltas = p.trajectory.step_deltas
         stages = np.arange(1, len(deltas) + 1)
-        sel = stages >= envelope_from
+        sel = stages >= ENVELOPE_FROM
         if np.any(deltas[sel] > b.envelope(stages[sel])):
             env_fail.append(p.seed)
         drift = float(np.linalg.norm((p.trajectory.states[-1] - p.trajectory.states[0]).ravel()))
@@ -369,9 +367,9 @@ def check_bound_suite(result: BoundSuiteResult, slope_rtol: float = 0.2,
             nmin_ok += b.n_min >= len(deltas)  # bound not contradicted within the horizon
     outcomes.append(CheckOutcome(
         "step_envelope", not env_fail,
-        f"envelope dominates deltas for n >= {envelope_from} in {n_seeds - len(env_fail)}/{n_seeds} seeds"))
+        f"envelope dominates deltas for n >= {ENVELOPE_FROM} in {n_seeds - len(env_fail)}/{n_seeds} seeds"))
     outcomes.append(CheckOutcome(
-        "n_min_upper_bound", nmin_ok >= nmin_quorum,
+        "n_min_upper_bound", nmin_ok >= math.ceil(NMIN_QUORUM * n_seeds),
         f"n_min(delta={result.delta}) upper-bounds the first sub-delta stage in {nmin_ok}/{n_seeds} seeds"))
     outcomes.append(CheckOutcome(
         "drift_kappa", not drift_fail,

@@ -25,7 +25,6 @@ class NoiseSchedule:
 
     T: int
     betas: np.ndarray
-    alphas: np.ndarray
     alpha_bars: np.ndarray
 
     def __post_init__(self):
@@ -67,11 +66,10 @@ def build_schedule(T: int, beta_start: float | None = None, beta_end: float | No
             f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
         )
     betas = np.linspace(beta_start, beta_end, T, dtype=np.float64)
-    alphas = 1.0 - betas
     # extended-precision running product keeps the small-T bound constants stable
-    bars = np.cumprod(alphas.astype(np.longdouble))
+    bars = np.cumprod((1.0 - betas).astype(np.longdouble))
     alpha_bars = np.concatenate([[1.0], bars.astype(np.float64)])
-    return NoiseSchedule(T=T, betas=betas, alphas=alphas, alpha_bars=alpha_bars)
+    return NoiseSchedule(T=T, betas=betas, alpha_bars=alpha_bars)
 
 
 def _check_step(t: int, s: NoiseSchedule) -> int:

@@ -1,10 +1,9 @@
 """Mask-guided transition clips between consecutive edit states.
 
-A clip skeleton is [x_start, ε, …, ε, x_end]. Middle frames are denoised from
-step k=⌊γT⌋ down to 1 with the condition interpolated by frame position, the
-endpoint frames re-clamped to their noised versions at every step (inpainting
-style). The finished frames are composited against the endpoint average
-outside the ROI, and the endpoints are restored exactly last.
+A clip skeleton is [x_start, ε, …, ε, x_end]. Each middle frame is denoised
+on its own from step k=⌊γT⌋ down to 1 under the condition interpolated by its
+frame position, then composited against the endpoint average outside the ROI.
+The endpoint frames are the skeleton's, unchanged.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from . import rng
 from .denoiser import blend_conditions
 from .errors import InvalidArgument, SeamMismatch, ShapeMismatch
 from .pie import composite_roi, validate_mask
-from .scheduler import NoiseSchedule, ddim_step, forward_diffuse
+from .scheduler import NoiseSchedule, ddim_chain
 
 
 @dataclass
@@ -26,7 +25,6 @@ class VideoClip:
     """K×(image shape) frame stack, K ≥ 2."""
 
     frames: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -53,7 +51,7 @@ def make_clip_skeleton(x_start, x_end, K: int, seed: int) -> VideoClip:
     frames[K - 1] = x_end
     for j in range(1, K - 1):
         frames[j] = rng.normal(x_start.shape, seed, stage=j)
-    return VideoClip(frames=frames, seed=seed)
+    return VideoClip(frames=frames)
 
 
 def generate_transition(skel: VideoClip, m, d, s: NoiseSchedule, y_start, y_end,
@@ -63,28 +61,16 @@ def generate_transition(skel: VideoClip, m, d, s: NoiseSchedule, y_start, y_end,
     if not (1 <= k <= s.T):
         raise InvalidArgument(f"gamma={gamma} gives k={k} outside 1..{s.T}")
     K = skel.K
-    x_start = skel.frames[0].copy()
-    x_end = skel.frames[K - 1].copy()
+    x_start, x_end = skel.frames[0], skel.frames[K - 1]
     plane = x_start.shape[:2] if x_start.ndim == 3 else x_start.shape
     mask = validate_mask(m, plane)
 
     frames = skel.frames.copy()
-    seed = skel.seed if skel.seed is not None else 0
-    eps_start = rng.normal(x_start.shape, seed, stage=K)      # clamp noise, fixed per clip
-    eps_end = rng.normal(x_end.shape, seed, stage=K + 1)
-    for t in range(k, 0, -1):
-        frames[0] = forward_diffuse(x_start, t, eps_start, s)
-        frames[K - 1] = forward_diffuse(x_end, t, eps_end, s)
-        for j in range(1, K - 1):
-            y_j = blend_conditions(y_start, y_end, j / (K - 1))
-            frames[j] = ddim_step(frames[j], t, d.predict(frames[j], t, y_j), s)
-
     avg = 0.5 * (x_start + x_end)
-    for j in range(K):
-        frames[j] = composite_roi(frames[j], avg, mask, 0.0, 1.0)
-    frames[0] = x_start
-    frames[K - 1] = x_end
-    return VideoClip(frames=frames, seed=skel.seed)
+    for j in range(1, K - 1):
+        y_j = blend_conditions(y_start, y_end, j / (K - 1))
+        frames[j] = composite_roi(ddim_chain(frames[j], k, d, y_j, s), avg, mask, 0.0, 1.0)
+    return VideoClip(frames=frames)
 
 
 def concat_clips(clips: list[VideoClip]) -> VideoClip:

@@ -1,12 +1,13 @@
 import csv
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
 from mvg import io
 from mvg.cli import main
-from mvg.config import RunConfig
+from mvg.config import SCHEMA, RunConfig
 from mvg.errors import InvalidArgument
 
 SMALL_CONFIG = {
@@ -61,6 +62,17 @@ class TestTensorIO:
         with pytest.raises(InvalidArgument):
             io.read_tensor(p)
 
+    def test_trailing_and_truncated_payload_rejected(self, tmp_path):
+        p = tmp_path / "t.mvgt"
+        io.write_tensor(p, np.arange(4.0))
+        whole = p.read_bytes()
+        p.write_bytes(whole + b"\x00" * 8)
+        with pytest.raises(InvalidArgument, match="trailing"):
+            io.read_tensor(p)
+        p.write_bytes(whole[:-4])
+        with pytest.raises(InvalidArgument, match="truncated"):
+            io.read_tensor(p)
+
     def test_non_finite_rejected(self, tmp_path):
         p = tmp_path / "nan.mvgt"
         io.write_tensor(p, np.array([1.0, np.nan]))
@@ -77,6 +89,9 @@ class TestTensorIO:
 
 
 class TestConfig:
+    def test_schema_is_valid(self):
+        jsonschema.Draft202012Validator.check_schema(SCHEMA)
+
     def test_schema_violation(self, tmp_path):
         path = write_config(tmp_path, {"pie": {"gamma": 2.0}})
         with pytest.raises(InvalidArgument, match="gamma"):
@@ -85,7 +100,10 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         misspelt_class = {"class_id": 0, "center": [5.0, 5.0], "radius": 3.0}
         for overrides in ({"strength": 0.5}, {"metrics": ["conf"]},
-                          {"domain": {"hieght": 8}}, {"domain": {"classes": [misspelt_class]}}):
+                          {"domain": {"hieght": 8}}, {"domain": {"classes": [misspelt_class]}},
+                          {"mask": {"params": {"center": [10.0, 10.0], "raduis": 2.0}}},
+                          {"mask": {"kind": "rect", "params": {"y0": 2, "x0": 2, "y1": 9, "xl": 9}}},
+                          {"verify": {"schedule": {"T": 2, "beta_strat": 0.3}}}):
             path = write_config(tmp_path, overrides)
             with pytest.raises(InvalidArgument):
                 RunConfig.load(path)
@@ -112,6 +130,24 @@ class TestConfig:
         b = RunConfig.load(write_config(tmp_path, {"pie": {"N": 4}}, name="b.json"))
         assert a.config_hash() != b.config_hash()
         assert a.config_hash() == RunConfig.load(tmp_path / "a.json").config_hash()
+
+
+class TestFlags:
+    def test_duplicate_seeds_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--seeds", "0,0", "--jobs", "2"]) == 1
+        assert "duplicate" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        path = write_config(tmp_path, {"seeds": [1, 1]})
+        assert main(["ablate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+
+    def test_flags_only_where_read(self, tmp_path):
+        path = write_config(tmp_path)
+        for argv in (["video", "--jobs", "2"], ["verify-bounds", "--seeds", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
+            assert exc.value.code == 2
 
 
 class TestSimulate:

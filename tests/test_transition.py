@@ -4,8 +4,11 @@ import pytest
 from mvg import (Condition, GmmDenoiser, GmmModel, Mixture, VideoClip,
                  concat_clips, generate_transition, make_clip_skeleton)
 from mvg.config import RunConfig
+from mvg.denoiser import blend_conditions
 from mvg.errors import InvalidArgument, SeamMismatch, ShapeMismatch
-from mvg.toydata import DomainSpec, render_mean
+from mvg.pie import composite_roi
+from mvg.scheduler import ddim_chain
+from mvg.toydata import DomainSpec, render_mean, sample
 from tests.conftest import SOFT_DOMAIN, SOFT_MASK
 
 # per-frame generation noise on the fixed-point case (x_start == x_end, unit
@@ -95,6 +98,29 @@ class TestGenerateTransition:
         with pytest.raises(InvalidArgument):
             generate_transition(skel, np.ones(u.shape), den, sched50,
                                 Condition(0), Condition(0), gamma=0.001)
+
+    def test_middle_frames_are_independent_chains(self):
+        """Each middle frame is its own DDIM chain from the skeleton noise under
+        the blended condition, composited against the endpoint average."""
+        cfg = RunConfig.from_dict({"domain": SOFT_DOMAIN, "mask": SOFT_MASK})
+        model, sched, mask = cfg.model(), cfg.schedule(), cfg.mask()
+        assert np.any(mask == 0.0) and np.any(mask == 1.0)
+        den = GmmDenoiser(model, sched)
+        y_start, y_end = Condition(0, 0.2), Condition(1, 0.9)
+        x_start = sample(model, y_start, 1, seed=31)[0]
+        x_end = sample(model, y_end, 1, seed=32)[0]
+        K, gamma = 6, 0.6
+        k = int(gamma * sched.T)
+        skel = make_clip_skeleton(x_start, x_end, K, seed=4)
+        clip = generate_transition(skel, mask, den, sched, y_start, y_end, gamma)
+        avg = 0.5 * (x_start + x_end)
+        assert np.array_equal(clip.frames[0], x_start)
+        assert np.array_equal(clip.frames[-1], x_end)
+        for j in range(1, K - 1):
+            y_j = blend_conditions(y_start, y_end, j / (K - 1))
+            expected = composite_roi(ddim_chain(skel.frames[j], k, den, y_j, sched),
+                                     avg, mask, 0.0, 1.0)
+            assert np.array_equal(clip.frames[j], expected), j
 
     def test_smoothness_bound_on_domain_clips(self):
         """Adjacent middle frames stay within the endpoint distance plus the
