@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, io, metrics as metrics_mod, toydata
+from . import __version__, io, metrics as metrics_mod, rng, toydata
 from .config import RunConfig
 from .denoiser import Condition, GmmDenoiser, GmmModel, Mixture
 from .errors import InvalidArgument
@@ -43,24 +43,21 @@ def _setup_logging():
 
 
 def _load_reference_states(cfg: RunConfig):
-    paths = cfg.raw.get("reference_states")
-    if not paths:
-        return None
-    return [io.read_tensor(cfg.base_dir / p) for p in paths]
+    return [io.read_tensor(cfg.base_dir / p) for p in cfg.raw["reference_states"]]
 
 
-def _write_metrics(run_dir: Path, seed: int, traj: Trajectory, model, y_target, embedder,
-                   reference):
+def _write_metrics(run_dir: Path, seed: int, states, model, y_target, embedder, reference):
     """Write and return metrics.csv's per-stage rows (run_id, stage, conf,
-    clip_i, kid, mae); kid is a set metric and stays nan at stage level, mae
-    needs reference states."""
+    clip_i, kid, mae) for the states as stored; kid is a set metric and stays
+    nan at stage level, mae needs reference states."""
+    traj = Trajectory.from_states(states)
     cos = metrics_mod.stage_cosines(traj, embedder) if traj.N >= 1 else np.array([])
     rows = []
     for n in range(traj.N + 1):
         conf = metrics_mod.confidence(traj.states[n], y_target, model)
         ci = 1.0 if n == 0 else float(cos[n - 1])
         ref_err = math.nan
-        if reference is not None and n < len(reference):
+        if n < len(reference):
             ref_err = metrics_mod.mae(traj.states[n], reference[n])
         rows.append((f"seed{seed}", n, conf, ci, math.nan, ref_err))
     io.write_csv(run_dir / "metrics.csv", ["run_id", "stage", "conf", "clip_i", "kid", "mae"], rows)
@@ -76,11 +73,10 @@ def _map(fn, args: list[tuple], jobs: int) -> list:
 
 
 def _write_frames(out_dir: Path, prefix: str, frames, first: int = 0):
-    """Write frames as prefix_NNN.mvgt, numbered from first, plus a .pgm for 2-D ones."""
+    """Write frames as prefix_NNN.mvgt and prefix_NNN.pgm, numbered from first."""
     for n, frame in enumerate(frames, start=first):
         io.write_tensor(out_dir / f"{prefix}_{n:03d}.mvgt", frame)
-        if frame.ndim == 2:
-            io.write_pgm(out_dir / f"{prefix}_{n:03d}.pgm", frame)
+        io.write_pgm(out_dir / f"{prefix}_{n:03d}.pgm", frame)
 
 
 def _write_run_dir(run_dir: Path, traj: Trajectory, cfg: RunConfig, seed: int):
@@ -106,7 +102,8 @@ def _write_run_dir(run_dir: Path, traj: Trajectory, cfg: RunConfig, seed: int):
     io.write_csv(run_dir / "deltas.csv", ["stage", "delta"],
                  [(n + 1, repr(float(d))) for n, d in enumerate(traj.step_deltas)])
 
-    rows = _write_metrics(run_dir, seed, traj, model, cfg.conditions()[1], cfg.embedder(),
+    stored = [io.stored(state) for state in traj.states]
+    rows = _write_metrics(run_dir, seed, stored, model, cfg.conditions()[1], cfg.embedder(),
                           _load_reference_states(cfg))
 
     manifest["status"] = "complete"
@@ -173,14 +170,15 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
         states = _read_states(run_dir)
         clips = []
         for n in range(1, len(states)):
-            clip_seed = vseed * 100003 + n  # distinct middle-frame streams per clip
-            skel = make_clip_skeleton(states[n - 1], states[n], K, seed=clip_seed)
+            tag = (n, vseed, rng.CLIP)
+            skel = make_clip_skeleton(states[n - 1], states[n], K, seed, tag=tag)
             clip = generate_transition(skel, mask, den, sched, y_target, y_target, gamma)
             clip_dir = run_dir / f"clip_{n:03d}"
             clip_dir.mkdir(exist_ok=True)
             _write_frames(clip_dir, "frame", clip.frames)
             io.write_json(clip_dir / "manifest.json",
-                          {"K": clip.K, "seed": clip_seed, "start_state": n - 1, "end_state": n})
+                          {"K": clip.K, "seed": seed, "tag": list(tag),
+                           "start_state": n - 1, "end_state": n})
             clips.append(clip)
         video_clip = concat_clips(clips)
         video_dir = run_dir / "video"
@@ -249,8 +247,7 @@ def verify_model(shape) -> GmmModel:
 
 def cmd_verify_bounds(cfg: RunConfig, out_dir: Path) -> int:
     v = cfg.raw["verify"]
-    sc = v["schedule"]
-    sched = build_schedule(sc.get("T", 2), sc.get("beta_start"), sc.get("beta_end"))
+    sched = build_schedule(**v["schedule"])
     shape = cfg.domain().shape
     model = verify_model(shape)
     den = GmmDenoiser(model, sched)
@@ -286,8 +283,7 @@ def cmd_metrics(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
     reference = _load_reference_states(cfg)
     for seed in seeds:
         run_dir = out_dir / f"seed_{seed:04d}"
-        traj = Trajectory.from_states(_read_states(run_dir))
-        _write_metrics(run_dir, seed, traj, model, y_target, emb, reference)
+        _write_metrics(run_dir, seed, _read_states(run_dir), model, y_target, emb, reference)
         print(f"metrics: recomputed {run_dir / 'metrics.csv'}")
     return 0
 

@@ -54,7 +54,6 @@ SCHEMA = {
                 "gamma": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                 "beta1": {"type": "number", "minimum": 0, "maximum": 1},
                 "beta2": {"type": "number", "minimum": 0, "maximum": 1},
-                "composite_origin": {"type": "boolean"},
             },
             "additionalProperties": False,
         },
@@ -82,8 +81,6 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "kind": {"enum": ["mean", "sample"]},
-                "class_id": {"type": "integer"},
-                "severity": {"type": "number"},
                 "seed": {"type": "integer"},
             },
             "additionalProperties": False,
@@ -144,13 +141,14 @@ SCHEMA = {
     "additionalProperties": False,
 }
 
+# merged into every config at every depth; the constructors a section feeds
+# hold the rest (DomainSpec, PieConfig, make_embedder, build_schedule, Condition)
 DEFAULTS = {
-    "schedule": {"T": 50, "beta_start": None, "beta_end": None},
-    "pie": {"N": 10, "gamma": 0.6, "beta1": 0.01, "beta2": 0.75, "composite_origin": True},
+    "domain": {}, "pie": {}, "embedder": {}, "reference_states": [],
+    "schedule": {"T": 50},
     "mask": {"kind": "disk", "params": {"center": [10.0, 10.0], "radius": 5.5}},
-    "condition": {"source": {"class_id": 0, "severity": 0.0}, "target": {"class_id": 1, "severity": 1.0}},
-    "start": {"kind": "mean", "class_id": 0, "severity": 0.0, "seed": 1234},
-    "embedder": {"kind": "identity", "out_dim": 64, "seed": 0},
+    "condition": {"source": {"class_id": 0}, "target": {"class_id": 1, "severity": 1.0}},
+    "start": {"kind": "mean", "seed": 1234},
     "kid_reference": {"count": 100, "seed": 777},
     "video": {"K": 16, "gamma": 0.6, "seed": 0},  # desk-scale configs use K=8
     "verify": {"stages": 100, "seeds": 50, "delta": 0.01, "x0_scale": 10.0, "burn_in": 5,
@@ -163,11 +161,12 @@ DEFAULTS = {
 _VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
 
-def _merged(raw: dict) -> dict:
-    out = json.loads(json.dumps(DEFAULTS))
+def _merged(raw: dict, defaults: dict = DEFAULTS) -> dict:
+    """raw over defaults, merging nested objects key by key at every depth."""
+    out = json.loads(json.dumps(defaults))
     for key, value in raw.items():
         if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key].update(value)
+            out[key] = _merged(value, out[key])
         else:
             out[key] = value
     return out
@@ -197,7 +196,7 @@ class RunConfig:
         return cfg
 
     def _check_files(self):
-        paths = list(self.raw.get("reference_states", []))
+        paths = list(self.raw["reference_states"])
         if self.raw["mask"]["kind"] == "file":
             if "path" not in self.raw["mask"]:
                 raise InvalidArgument("mask kind 'file' needs a path")
@@ -212,11 +211,10 @@ class RunConfig:
     # -- constructed objects -------------------------------------------------
 
     def domain(self) -> DomainSpec:
-        return DomainSpec.from_dict(self.raw.get("domain", {}))
+        return DomainSpec.from_dict(self.raw["domain"])
 
     def schedule(self):
-        sc = self.raw["schedule"]
-        return build_schedule(sc["T"], sc.get("beta_start"), sc.get("beta_end"))
+        return build_schedule(**self.raw["schedule"])
 
     def model(self):
         return toydata.build_domain(self.domain())
@@ -236,25 +234,21 @@ class RunConfig:
 
     def conditions(self) -> tuple[Condition, Condition]:
         c = self.raw["condition"]
-        src = c["source"]
-        return (
-            Condition(src["class_id"], src.get("severity", 0.0)),
-            Condition(c["target"]["class_id"], c["target"].get("severity", 1.0)),
-        )
+        return Condition(**c["source"]), Condition(**c["target"])
 
     def start_image(self) -> np.ndarray:
+        """The source condition's mean image, or a noisy draw around it ("sample")."""
         st = self.raw["start"]
         spec = self.domain()
-        mean = toydata.render_mean(spec, st["class_id"], st["severity"])
+        source = self.conditions()[0]
+        mean = toydata.render_mean(spec, source.class_id, source.severity)
         if st["kind"] == "sample":
-            # noisy instance of the requested (class, severity) state
             noise = rng.normal(mean.shape, st["seed"])
             return mean + spec.noise_sigma * noise
         return mean
 
     def embedder(self):
-        e = self.raw["embedder"]
-        return make_embedder(e["kind"], e["out_dim"], e["seed"])
+        return make_embedder(**self.raw["embedder"])
 
     def seeds(self) -> list[int]:
         spec = self.raw["seeds"]

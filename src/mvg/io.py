@@ -27,13 +27,21 @@ def write_tensor(path, arr) -> None:
         f.write(np.ascontiguousarray(arr).astype("<f4").tobytes())
 
 
+def stored(arr) -> np.ndarray:
+    """arr at the precision write_tensor stores, as read_tensor returns it."""
+    return np.asarray(arr, dtype=np.float32).astype(np.float64)
+
+
 def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != MAGIC:
             raise InvalidArgument(f"{path}: bad magic {magic!r}")
-        (ndim,) = struct.unpack("<I", f.read(4))
-        dims = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+        try:
+            (ndim,) = struct.unpack("<I", f.read(4))
+            dims = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+        except struct.error:
+            raise InvalidArgument(f"{path}: truncated header") from None
         count = int(np.prod(dims)) if ndim else 1
         data = np.frombuffer(f.read(4 * count), dtype="<f4")
         if data.size != count:

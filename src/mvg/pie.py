@@ -30,7 +30,6 @@ class PieConfig:
     beta1: float = 0.01
     beta2: float = 0.75
     seed: int = 0
-    composite_origin: bool = True  # blend against the run origin, not the stage input
 
     def __post_init__(self):
         if self.N < 0:
@@ -119,9 +118,7 @@ def composite_roi(x_gen, x_base, mask, beta1: float, beta2: float) -> np.ndarray
     x_base = np.asarray(x_base, dtype=np.float64)
     if x_gen.shape != x_base.shape:
         raise ShapeMismatch(f"generated {x_gen.shape} vs base {x_base.shape}")
-    plane = x_gen.shape[:2] if x_gen.ndim == 3 else x_gen.shape
-    mask = validate_mask(mask, plane)
-    m = mask[..., None] if x_gen.ndim == 3 else mask
+    m = validate_mask(mask, x_gen.shape)
     outside = _lerp(x_base, x_gen, beta1)
     inside = _lerp(x_base, x_gen, beta2)
     blended = (1.0 - m) * outside + m * inside
@@ -146,8 +143,7 @@ def pie_stage(x_prev, x_origin, y, cfg: PieConfig, d, m, s: NoiseSchedule, stage
     eps = rng.normal(x_prev.shape, cfg.seed, stage=stage_index)
     x_k = forward_diffuse(x_prev, k, eps, s)
     x_gen = ddim_chain(x_k, k, d, y, s)
-    base = x_origin if cfg.composite_origin else x_prev
-    return composite_roi(x_gen, base, m, cfg.beta1, cfg.beta2)
+    return composite_roi(x_gen, x_origin, m, cfg.beta1, cfg.beta2)
 
 
 def pie_run(x0, y_target, cfg: PieConfig, d, m, s: NoiseSchedule) -> Trajectory:

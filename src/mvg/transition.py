@@ -38,8 +38,8 @@ class VideoClip:
         return int(self.frames.shape[0])
 
 
-def make_clip_skeleton(x_start, x_end, K: int, seed: int) -> VideoClip:
-    """[x_start, noise…, x_end] with unit-normal middle frames from the seed."""
+def make_clip_skeleton(x_start, x_end, K: int, seed: int, tag: tuple = ()) -> VideoClip:
+    """[x_start, noise…, x_end]; middle frame j is unit-normal from stream (seed, j, 0, *tag)."""
     if K < 2:
         raise InvalidArgument(f"K must be >= 2, got {K}")
     x_start = np.asarray(x_start, dtype=np.float64)
@@ -50,7 +50,7 @@ def make_clip_skeleton(x_start, x_end, K: int, seed: int) -> VideoClip:
     frames[0] = x_start
     frames[K - 1] = x_end
     for j in range(1, K - 1):
-        frames[j] = rng.normal(x_start.shape, seed, stage=j)
+        frames[j] = rng.normal(x_start.shape, seed, stage=j, tag=tag)
     return VideoClip(frames=frames)
 
 
@@ -62,8 +62,7 @@ def generate_transition(skel: VideoClip, m, d, s: NoiseSchedule, y_start, y_end,
         raise InvalidArgument(f"gamma={gamma} gives k={k} outside 1..{s.T}")
     K = skel.K
     x_start, x_end = skel.frames[0], skel.frames[K - 1]
-    plane = x_start.shape[:2] if x_start.ndim == 3 else x_start.shape
-    mask = validate_mask(m, plane)
+    mask = validate_mask(m, x_start.shape)
 
     frames = skel.frames.copy()
     avg = 0.5 * (x_start + x_end)

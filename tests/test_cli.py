@@ -5,10 +5,12 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mvg import io
+from mvg import cli, io, rng
 from mvg.cli import main
 from mvg.config import SCHEMA, RunConfig
 from mvg.errors import InvalidArgument
+from mvg.toydata import make_mask, render_mean
+from mvg.transition import make_clip_skeleton
 
 SMALL_CONFIG = {
     "schedule": {"T": 10},
@@ -69,9 +71,10 @@ class TestTensorIO:
         p.write_bytes(whole + b"\x00" * 8)
         with pytest.raises(InvalidArgument, match="trailing"):
             io.read_tensor(p)
-        p.write_bytes(whole[:-4])
-        with pytest.raises(InvalidArgument, match="truncated"):
-            io.read_tensor(p)
+        for cut in (whole[:-4], b"MVGT\x02\x00"):
+            p.write_bytes(cut)
+            with pytest.raises(InvalidArgument, match="truncated"):
+                io.read_tensor(p)
 
     def test_non_finite_rejected(self, tmp_path):
         p = tmp_path / "nan.mvgt"
@@ -103,10 +106,32 @@ class TestConfig:
                           {"domain": {"hieght": 8}}, {"domain": {"classes": [misspelt_class]}},
                           {"mask": {"params": {"center": [10.0, 10.0], "raduis": 2.0}}},
                           {"mask": {"kind": "rect", "params": {"y0": 2, "x0": 2, "y1": 9, "xl": 9}}},
-                          {"verify": {"schedule": {"T": 2, "beta_strat": 0.3}}}):
+                          {"verify": {"schedule": {"T": 2, "beta_strat": 0.3}}},
+                          {"start": {"class_id": 0}}, {"pie": {"composite_origin": False}}):
             path = write_config(tmp_path, overrides)
             with pytest.raises(InvalidArgument):
                 RunConfig.load(path)
+
+    def test_nested_defaults_and_source_start(self, tmp_path):
+        # a partial nested section keeps the defaults of the keys it leaves out
+        path = write_config(tmp_path, {"verify": {"stages": 15, "seeds": 2, "schedule": {"T": 2}}})
+        main(["verify-bounds", "--config", str(path), "--out", str(tmp_path / "v")])
+        report = io.read_json(tmp_path / "v" / "verify_report.json")
+        assert report["schedule"] == {"T": 2, "beta_start": 0.1, "beta_end": 0.1}
+        assert report["alpha1"] == pytest.approx(0.81)
+        cfg = RunConfig.from_dict({"mask": {"kind": "disk", "params": {"radius": 3.0}}})
+        assert cfg.raw["mask"]["params"] == {"center": [10.0, 10.0], "radius": 3.0}
+        assert np.array_equal(cfg.mask(), make_mask(cfg.domain(), "disk",
+                                                    {"center": (10.0, 10.0), "radius": 3.0}))
+        # the start image is the source condition's state
+        source = {"condition": {"source": {"class_id": 1, "severity": 0.7},
+                                "target": {"class_id": 0}}}
+        cfg = RunConfig.from_dict(source)
+        assert np.array_equal(cfg.start_image(), render_mean(cfg.domain(), 1, 0.7))
+        sampled = RunConfig.from_dict({**source, "start": {"kind": "sample", "seed": 5}})
+        noise = cfg.domain().noise_sigma * rng.normal((16, 16), 5)
+        assert np.array_equal(sampled.start_image(), render_mean(cfg.domain(), 1, 0.7) + noise)
+        assert not np.array_equal(cfg.start_image(), RunConfig.from_dict({}).start_image())
 
     def test_missing_reference_rejected(self, tmp_path):
         path = write_config(tmp_path, {"mask": {"kind": "file", "path": "nope.mvgt"}})
@@ -240,6 +265,28 @@ class TestVideo:
         assert manifest["frames"] == K * N - (N - 1)
         assert manifest["frames"] == manifest["expected_frames"]
 
+    def test_clip_noise_keyed_by_run_seed(self, tmp_path, monkeypatch):
+        skeletons = []
+
+        def spy(x_start, x_end, K, seed, tag=()):
+            skel = make_clip_skeleton(x_start, x_end, K, seed, tag=tag)
+            skeletons.append((seed, skel.frames[1:-1]))
+            return skel
+
+        monkeypatch.setattr(cli, "make_clip_skeleton", spy)
+        path = write_config(tmp_path, {"seeds": [0, 1], "video": {"K": 4, "gamma": 0.5, "seed": 0}})
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(path), "--out", str(out)])
+        assert main(["video", "--config", str(path), "--out", str(out)]) == 0
+        N = SMALL_CONFIG["pie"]["N"]
+        assert len(skeletons) == 2 * N
+        for seed, middle in skeletons:
+            for stage in range(N + 1):
+                stage_noise = rng.normal((16, 16), seed, stage=stage)
+                assert not any(np.array_equal(f, stage_noise) for f in middle)
+        for (_, run0), (_, run1) in zip(skeletons[:N], skeletons[N:]):
+            assert not np.any(run0 == run1)
+
     def test_missing_trajectory_fails(self, tmp_path):
         path = write_config(tmp_path, {"seeds": [0]})
         assert main(["video", "--config", str(path), "--out", str(tmp_path / "nowhere")]) == 1
@@ -305,13 +352,9 @@ class TestMetricsCommand:
         path = write_config(tmp_path, {"seeds": [0]})
         out = tmp_path / "out"
         main(["simulate", "--config", str(path), "--out", str(out)])
-        before = (out / "seed_0000" / "metrics.csv").read_text()
+        before = (out / "seed_0000" / "metrics.csv").read_bytes()
         assert main(["metrics", "--config", str(path), "--out", str(out)]) == 0
-        after = (out / "seed_0000" / "metrics.csv").read_text()
-        # states were stored as float32, so recomputed metrics differ slightly
-        h_b, rows_b = before.splitlines()[0], before.splitlines()[1:]
-        h_a, rows_a = after.splitlines()[0], after.splitlines()[1:]
-        assert h_a == h_b and len(rows_a) == len(rows_b)
+        assert (out / "seed_0000" / "metrics.csv").read_bytes() == before
 
     def test_seeds_flag_overrides(self, tmp_path):
         path = write_config(tmp_path, {"seeds": [0, 1]})

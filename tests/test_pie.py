@@ -163,15 +163,6 @@ class TestPieRun:
         for a, b in zip(t1.states, t2.states):
             assert np.array_equal(a, b)
 
-    def test_composite_against_stage_input_flag(self, default_model, sched50):
-        den = GmmDenoiser(default_model, sched50)
-        x0 = np.random.default_rng(5).uniform(0, 1, (16, 16))
-        mask = np.zeros((16, 16))
-        cfg = PieConfig(N=3, gamma=0.5, beta1=0.5, beta2=1.0, seed=0, composite_origin=False)
-        traj = pie_run(x0, Condition(1, 1.0), cfg, den, mask, sched50)
-        # against the stage input, outside-ROI pixels drift stage over stage
-        assert not np.allclose(traj.states[2], traj.states[1])
-
     def test_config_validation(self):
         with pytest.raises(InvalidArgument):
             PieConfig(N=-1)
@@ -384,7 +375,7 @@ def test_directionality_rises_to_plateau():
     cfg = RunConfig.from_dict({
         "domain": SOFT_DOMAIN,
         "mask": {"kind": "full"},
-        "start": {"kind": "sample", "class_id": 0, "severity": 0.0, "seed": 9},
+        "start": {"kind": "sample", "seed": 9},
     })
     model, sched, mask = cfg.model(), cfg.schedule(), cfg.mask()
     den = GmmDenoiser(model, sched)
