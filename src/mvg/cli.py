@@ -2,7 +2,8 @@
 
 Every command takes --config PATH (JSON, schema in config.py) and is
 deterministic given the config plus seeds. MVG_LOG={error,info,debug} controls
-log verbosity. Sweep cells and seeds run in a worker pool under --jobs N.
+log verbosity. simulate's seeds and ablate's sweep cells run in a worker pool
+under --jobs N; an ablate cell's seeds run in batches of ABLATE_BATCH_ROWS.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ GAMMA_SWEEP = (0.1, 0.2, 0.4, 0.6, 0.8)
 STEPS_SWEEP = (1, 5, 10, 50, 100)
 BETA1_SWEEP = (0.01, 0.1, 0.2)
 BETA2_SWEEP = (1.0, 0.75, 0.5)
+# seeds per pie_run batch in an ablate cell: bounds a worker's state table at
+# ABLATE_BATCH_ROWS x (N+1) images however many seeds the config asks for
+ABLATE_BATCH_ROWS = 64
 
 
 def _setup_logging():
@@ -88,7 +92,7 @@ def _write_run_dir(run_dir: Path, traj: Trajectory, cfg: RunConfig, seed: int):
         "config_hash": cfg.config_hash(),
         "library_version": __version__,
         "schedule": cfg.schedule().to_dict(),
-        "pie": cfg.pie_config(seed).to_dict(),
+        "pie": {**cfg.pie_config().to_dict(), "seed": seed},
         "domain": cfg.domain().to_dict(),
         "model": model.to_dict(),
         "n_states": traj.N + 1,
@@ -112,8 +116,8 @@ def _write_run_dir(run_dir: Path, traj: Trajectory, cfg: RunConfig, seed: int):
 
 
 def _simulate_one(cfg: RunConfig, seed: int, out_dir: str):
-    traj = pie_run(cfg.start_image(), cfg.conditions()[1], cfg.pie_config(seed),
-                   cfg.denoiser(), cfg.mask(), cfg.schedule())
+    (traj,) = pie_run(cfg.start_image(), cfg.conditions()[1], cfg.pie_config(),
+                      cfg.denoiser(), cfg.mask(), cfg.schedule(), [seed])
     rows = _write_run_dir(Path(out_dir) / f"seed_{seed:04d}", traj, cfg, seed)
     log.info("simulate seed=%d done (%d stages)", seed, traj.N)
     return rows
@@ -195,20 +199,22 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
 
 
 def _ablate_cell(cfg: RunConfig, overrides: dict, seeds: list[int]):
-    """One sweep cell: seeds-averaged terminal confidence, trajectory clip_i,
-    and terminal-set kid against a reference sample of the target condition."""
+    """One sweep cell, its seeds run in batches of ABLATE_BATCH_ROWS:
+    seeds-averaged terminal confidence, trajectory clip_i, and terminal-set kid
+    against a reference sample of the target condition."""
     model, sched, mask = cfg.model(), cfg.schedule(), cfg.mask()
     den = GmmDenoiser(model, sched)
     _, y_target = cfg.conditions()
     emb = cfg.embedder()
     x0 = cfg.start_image()
-    confs, clip_is, terminal = [], [], []
-    for seed in seeds:
-        pc = dataclasses.replace(cfg.pie_config(seed), **overrides)
-        traj = pie_run(x0, y_target, pc, den, mask, sched)
-        confs.append(metrics_mod.confidence(traj.states[-1], y_target, model))
-        clip_is.append(metrics_mod.clip_i(traj, emb))
-        terminal.append(traj.states[-1])
+    pc = dataclasses.replace(cfg.pie_config(), **overrides)
+    terminal, clip_is = [], []
+    for i in range(0, len(seeds), ABLATE_BATCH_ROWS):
+        trajs = pie_run(x0, y_target, pc, den, mask, sched, seeds[i:i + ABLATE_BATCH_ROWS])
+        terminal += [traj.states[-1].copy() for traj in trajs]
+        clip_is += [metrics_mod.clip_i(traj, emb) for traj in trajs]
+        del trajs  # free this batch's state table before the next one is allocated
+    confs = [metrics_mod.confidence(x, y_target, model) for x in terminal]
     ref_cfg = cfg.raw["kid_reference"]
     reference = toydata.sample(model, y_target, ref_cfg["count"], seed=ref_cfg["seed"])
     cell_kid = metrics_mod.kid(terminal, reference, emb) if len(terminal) >= 2 else math.nan

@@ -39,8 +39,10 @@ _SCHEDULE = {
 }
 
 # mask.params keys make_mask reads per kind; full, empty and file read none and
-# accept either set, so a config can switch its kind and keep its old params
+# accept either set, so a config can switch its kind and keep its old params.
+# A mask without a kind has the default kind, disk, and is checked as one.
 _MASK_PARAMS = {"disk": ["center", "radius", "feather"], "rect": ["y0", "x0", "y1", "x1"]}
+_DEFAULT_MASK_KIND = "disk"
 
 SCHEMA = {
     "type": "object",
@@ -65,16 +67,15 @@ SCHEMA = {
                            "propertyNames": {"enum": sum(_MASK_PARAMS.values(), [])}},
                 "path": {"type": "string"},
             },
-            "required": ["kind"],
             "additionalProperties": False,
-            "allOf": [{"if": {"properties": {"kind": {"const": kind}}},
+            "allOf": [{"if": {"properties": {"kind": {"const": kind}},
+                              "required": [] if kind == _DEFAULT_MASK_KIND else ["kind"]},
                        "then": {"properties": {"params": {"propertyNames": {"enum": keys}}}}}
                       for kind, keys in _MASK_PARAMS.items()],
         },
         "condition": {
             "type": "object",
             "properties": {"source": _CONDITION, "target": _CONDITION},
-            "required": ["target"],
             "additionalProperties": False,
         },
         "start": {
@@ -146,7 +147,7 @@ SCHEMA = {
 DEFAULTS = {
     "domain": {}, "pie": {}, "embedder": {}, "reference_states": [],
     "schedule": {"T": 50},
-    "mask": {"kind": "disk", "params": {"center": [10.0, 10.0], "radius": 5.5}},
+    "mask": {"kind": _DEFAULT_MASK_KIND, "params": {"center": [10.0, 10.0], "radius": 5.5}},
     "condition": {"source": {"class_id": 0}, "target": {"class_id": 1, "severity": 1.0}},
     "start": {"kind": "mean", "seed": 1234},
     "kid_reference": {"count": 100, "seed": 777},
@@ -229,8 +230,8 @@ class RunConfig:
             return io.read_tensor(self.base_dir / mc["path"])
         return toydata.make_mask(spec, mc["kind"], mc["params"])
 
-    def pie_config(self, seed: int) -> PieConfig:
-        return PieConfig(seed=seed, **self.raw["pie"])
+    def pie_config(self) -> PieConfig:
+        return PieConfig(**self.raw["pie"])
 
     def conditions(self) -> tuple[Condition, Condition]:
         c = self.raw["condition"]

@@ -10,6 +10,11 @@ is available exactly, with responsibilities rᵢ computed in log space. Both
 denoisers and the density share one component kernel: the Parzen variant *is*
 that kernel at zero component variance (σᵢ = 0, so Vᵢ = 1−ᾱ_t), with uniform
 weights over a finite dataset as the means.
+
+``gmm_eps``, ``parzen_eps`` and ``Denoiser.predict`` take one image (*event)
+or a batch (B, *event), the event shape being the mixture's or the dataset's
+item shape. The kernel works on (B, d) rows; one image is the B=1 case, and
+each row's result is bit-identical to evaluating that row alone.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import DegenerateMixture, InvalidArgument, ShapeMismatch
-from .scheduler import NoiseSchedule, _check_step
+from .scheduler import NoiseSchedule, _check_batch, _check_step
 
 
 @dataclass(frozen=True)
@@ -45,9 +50,10 @@ class ConditionBlend:
 
 
 def blend_conditions(a: Condition, b: Condition, w: float):
-    """Interpolate conditions; same-class blends lerp severity directly."""
+    """Interpolate conditions; a condition blended with itself is itself, and
+    other same-class blends lerp severity directly."""
     w = float(w)
-    if w <= 0.0:
+    if w <= 0.0 or a == b:
         return a
     if w >= 1.0:
         return b
@@ -87,32 +93,29 @@ class Mixture:
         return int(np.prod(self.event_shape))
 
 
-def _component_logits(x_flat, log_w, mu, var, alpha_bar: float) -> np.ndarray:
-    """log(wᵢ·N(x; √ᾱ·μᵢ, VᵢI)) per component, given diffused variances var = V."""
-    d = x_flat.shape[0]
+def _component_logits(offsets, log_w, var) -> np.ndarray:
+    """log(wᵢ·N(x; √ᾱ·μᵢ, VᵢI)) from the offsets x − √ᾱ·μᵢ (B, m, d) of rows x
+    (B, d) to components μ (m, d), given diffused variances var = V: a (B, m) table."""
+    d = offsets.shape[-1]
     with np.errstate(over="ignore"):  # inf distance -> -inf density
-        sq = np.sum((x_flat[None, :] - np.sqrt(alpha_bar) * mu) ** 2, axis=1)
+        sq = np.sum(offsets ** 2, axis=-1)
     return log_w - 0.5 * d * np.log(2 * np.pi * var) - sq / (2 * var)
 
 
-def _logsumexp1d(a: np.ndarray) -> float:
+def _posterior_eps(x_rows, log_w, mu, var, alpha_bar: float) -> np.ndarray:
+    """√(1−ᾱ)·Σᵢ rᵢ(x)·(x − √ᾱ·μᵢ)/Vᵢ per row of x_rows (B, d), with log-space
+    responsibilities rᵢ; raises DegenerateMixture when every component weight
+    of some row underflows. Every reduction runs along one row's own axis, so
+    a row's result does not depend on the other rows."""
+    offsets = x_rows[:, None, :] - np.sqrt(alpha_bar) * mu
+    comp = _component_logits(offsets, log_w, var)
     # scipy's logsumexp has ~100x this overhead on small arrays; this is the hot path
-    m = a.max()
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.exp(a - m).sum()))
-
-
-def _posterior_eps(x_flat, log_w, mu, var, alpha_bar: float) -> np.ndarray:
-    """√(1−ᾱ)·Σᵢ rᵢ(x)·(x − √ᾱ·μᵢ)/Vᵢ with log-space responsibilities rᵢ;
-    raises DegenerateMixture when every component weight underflows."""
-    comp = _component_logits(x_flat, log_w, mu, var, alpha_bar)
-    total = _logsumexp1d(comp)
-    if not np.isfinite(total):
+    top = comp.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
         raise DegenerateMixture("all mixture responsibilities underflowed")
-    r = np.exp(comp - total)
-    score_terms = (x_flat[None, :] - np.sqrt(alpha_bar) * mu) / var[:, None]
-    return np.sqrt(1.0 - alpha_bar) * np.einsum("i,ij->j", r, score_terms)
+    r = np.exp(comp - (top + np.log(np.exp(comp - top).sum(axis=-1, keepdims=True))))
+    offsets /= var[:, None]  # now the score terms (x − √ᾱ·μᵢ)/Vᵢ
+    return np.sqrt(1.0 - alpha_bar) * np.einsum("bi,bij->bj", r, offsets)
 
 
 def mixture_logpdf(x: np.ndarray, mix: Mixture, alpha_bar: float = 1.0) -> float:
@@ -122,7 +125,8 @@ def mixture_logpdf(x: np.ndarray, mix: Mixture, alpha_bar: float = 1.0) -> float
     if x.shape[0] != mu.shape[1]:
         raise ShapeMismatch(f"x has dim {x.shape[0]}, mixture has dim {mu.shape[1]}")
     var = alpha_bar * mix.variances + (1.0 - alpha_bar)
-    return float(logsumexp(_component_logits(x, np.log(mix.weights), mu, var, alpha_bar)))
+    offsets = x[None, None, :] - np.sqrt(alpha_bar) * mu
+    return float(logsumexp(_component_logits(offsets, np.log(mix.weights), var)[0]))
 
 
 class GmmModel:
@@ -192,41 +196,44 @@ class GmmModel:
 
 
 def gmm_eps(x: np.ndarray, t: int, y, m: GmmModel, s: NoiseSchedule) -> np.ndarray:
-    """Exact posterior-mean noise E[ε | x_t=x, y] for the diffused mixture."""
+    """Exact posterior-mean noise E[ε | x_t=x, y] for the diffused mixture, for
+    one image (*event) or a batch (B, *event) under the one condition y."""
     t = _check_step(t, s)
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise InvalidArgument("x must be finite")
     mix = m.mixture(y)
-    if x.shape != mix.event_shape:
-        raise ShapeMismatch(f"x shape {x.shape} vs mixture shape {mix.event_shape}")
+    _check_batch(x.shape, mix.event_shape, "x")
     ab = s.alpha_bars[t]
     mu = mix.means.reshape(len(mix.weights), -1)
     var = ab * mix.variances + (1.0 - ab)
-    eps = _posterior_eps(x.reshape(-1), np.log(mix.weights), mu, var, ab)
+    eps = _posterior_eps(x.reshape(-1, mu.shape[1]), np.log(mix.weights), mu, var, ab)
     return eps.reshape(x.shape)
 
 
 def parzen_eps(x: np.ndarray, t: int, dataset, s: NoiseSchedule) -> np.ndarray:
     """Empirical kernel denoiser: the shared kernel with the dataset as equally
-    weighted means and zero component variance (the σ→0 mixture limit)."""
+    weighted means and zero component variance (the σ→0 mixture limit); x is
+    one item-shaped image or a (B, *item) batch."""
     t = _check_step(t, s)
     if len(dataset) == 0:
         raise InvalidArgument("dataset must be non-empty")
     x = np.asarray(x, dtype=np.float64)
     data = np.asarray(dataset, dtype=np.float64)
-    if data.shape[1:] != x.shape:
-        raise ShapeMismatch(f"dataset items {data.shape[1:]} vs x {x.shape}")
+    _check_batch(x.shape, data.shape[1:], "x")
     ab = s.alpha_bars[t]
     if 1.0 - ab == 0.0:
         raise InvalidArgument("parzen_eps needs alpha_bar_t < 1")
     n = len(data)
-    eps = _posterior_eps(x.reshape(-1), np.full(n, -np.log(n)), data.reshape(n, -1),
+    mu = data.reshape(n, -1)
+    eps = _posterior_eps(x.reshape(-1, mu.shape[1]), np.full(n, -np.log(n)), mu,
                          np.full(n, 1.0 - ab), ab)
     return eps.reshape(x.shape)
 
 
 class Denoiser(Protocol):
+    """ε̂ for x of shape (*event) or (B, *event), returned in x's shape."""
+
     def predict(self, x: np.ndarray, t: int, y) -> np.ndarray: ...
 
 

@@ -6,6 +6,12 @@ reverse chain under the target condition, then blends the result against the
 run-origin image inside/outside the ROI mask:
 
     out = (β₁·(x'−x₀) + x₀)·(1−M) + (β₂·(x'−x₀) + x₀)·M
+
+The recursions (``pie_run``, ``svd_walk``, ``decay_probe_run``) take a list of
+seeds and run them as one (B, *event) batch through the engine, one state
+table of shape (B, N+1, *event); row b's noise comes from its own stream
+(seeds[b], stage), so a seed's states do not depend on its batch-mates.
+``composite_roi`` blends one image or a (B, *plane) batch against one mask.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 from . import rng
 from .denoiser import blend_conditions
 from .errors import DegenerateSchedule, InvalidArgument, ShapeMismatch
-from .scheduler import NoiseSchedule, ddim_chain, ddim_step, forward_diffuse
+from .scheduler import NoiseSchedule, _check_batch, ddim_chain, ddim_step, forward_diffuse
 
 
 @dataclass(frozen=True)
@@ -29,7 +35,6 @@ class PieConfig:
     gamma: float = 0.6
     beta1: float = 0.01
     beta2: float = 0.75
-    seed: int = 0
 
     def __post_init__(self):
         if self.N < 0:
@@ -94,10 +99,11 @@ class ConvergenceBound:
         return max(0, math.ceil(raw))
 
 
-def validate_mask(mask: np.ndarray, plane_shape: tuple) -> np.ndarray:
+def validate_mask(mask: np.ndarray, image_shape: tuple) -> np.ndarray:
+    """The mask as float64, checked to be the plane of image_shape (one image
+    or a (B, *plane) batch) with entries in [0,1]."""
     mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != tuple(plane_shape):
-        raise ShapeMismatch(f"mask shape {mask.shape} vs image plane {tuple(plane_shape)}")
+    _check_batch(image_shape, mask.shape, "image shape")
     if mask.size and (mask.min() < 0 or mask.max() > 1):
         raise InvalidArgument("mask entries must lie in [0,1]")
     return mask
@@ -113,7 +119,8 @@ def _lerp(base, target, w: float) -> np.ndarray:
 
 
 def composite_roi(x_gen, x_base, mask, beta1: float, beta2: float) -> np.ndarray:
-    """ROI blend of generated result against a base image (see module formula)."""
+    """ROI blend of generated result against a base image (see module formula);
+    both are one image or the same (B, *plane) batch, the mask one plane."""
     x_gen = np.asarray(x_gen, dtype=np.float64)
     x_base = np.asarray(x_base, dtype=np.float64)
     if x_gen.shape != x_base.shape:
@@ -133,26 +140,47 @@ def stage_step_count(cfg: PieConfig, s: NoiseSchedule) -> int:
     return min(k, s.T)
 
 
-def pie_stage(x_prev, x_origin, y, cfg: PieConfig, d, m, s: NoiseSchedule, stage_index: int) -> np.ndarray:
-    """One edit stage: noise to k, reverse chain under y, ROI-composite."""
+def _noise(shape, seeds, stage: int) -> np.ndarray:
+    """(B, *shape) unit normals; row b is stream (seeds[b], stage)."""
+    return np.stack([rng.normal(shape, seed, stage=stage) for seed in seeds])
+
+
+def _state_table(x0: np.ndarray, seeds, n_stages: int) -> np.ndarray:
+    """(B, n_stages+1, *x0.shape) states of a seed batch, every row starting at x0."""
+    if len(seeds) == 0:
+        raise InvalidArgument("need at least one seed")
+    states = np.empty((len(seeds), n_stages + 1) + x0.shape)
+    states[:, 0] = x0
+    return states
+
+
+def _trajectories(states: np.ndarray) -> list[Trajectory]:
+    """One Trajectory per row of a state table; its states are views into the table."""
+    return [Trajectory.from_states(list(row)) for row in states]
+
+
+def pie_stage(x_prev, x_origin, y, cfg: PieConfig, d, m, s: NoiseSchedule, stage_index: int,
+              seeds) -> np.ndarray:
+    """One edit stage of a seed batch x_prev (B, *event): noise row b to k from
+    stream (seeds[b], stage_index), reverse chain under y, ROI-composite."""
     x_prev = np.asarray(x_prev, dtype=np.float64)
     x_origin = np.asarray(x_origin, dtype=np.float64)
-    if x_prev.shape != x_origin.shape:
-        raise ShapeMismatch(f"x_prev {x_prev.shape} vs x_origin {x_origin.shape}")
+    if x_prev.shape != (len(seeds),) + x_origin.shape:
+        raise ShapeMismatch(f"x_prev {x_prev.shape} vs {len(seeds)} seeds of x_origin {x_origin.shape}")
     k = stage_step_count(cfg, s)
-    eps = rng.normal(x_prev.shape, cfg.seed, stage=stage_index)
-    x_k = forward_diffuse(x_prev, k, eps, s)
+    x_k = forward_diffuse(x_prev, k, _noise(x_origin.shape, seeds, stage_index), s)
     x_gen = ddim_chain(x_k, k, d, y, s)
-    return composite_roi(x_gen, x_origin, m, cfg.beta1, cfg.beta2)
+    return composite_roi(x_gen, np.broadcast_to(x_origin, x_gen.shape), m, cfg.beta1, cfg.beta2)
 
 
-def pie_run(x0, y_target, cfg: PieConfig, d, m, s: NoiseSchedule) -> Trajectory:
-    """Run the edit recursion for cfg.N stages, conditioning every stage on y_target."""
+def pie_run(x0, y_target, cfg: PieConfig, d, m, s: NoiseSchedule, seeds) -> list[Trajectory]:
+    """Run the edit recursion for cfg.N stages from x0 once per seed, all seeds
+    as one batch, conditioning every stage on y_target."""
     x0 = np.asarray(x0, dtype=np.float64)
-    states = [x0.copy()]
+    states = _state_table(x0, seeds, cfg.N)
     for n in range(1, cfg.N + 1):
-        states.append(pie_stage(states[-1], x0, y_target, cfg, d, m, s, stage_index=n))
-    return Trajectory.from_states(states)
+        states[:, n] = pie_stage(states[:, n - 1], x0, y_target, cfg, d, m, s, n, seeds)
+    return _trajectories(states)
 
 
 def step_decay_fit(traj: Trajectory, burn_in: int) -> float:
@@ -195,18 +223,18 @@ def prop2_bound(s: NoiseSchedule, C1: float, C2: float, delta: float) -> Converg
     return replace(bound, n_min=bound.n_min_for(delta))
 
 
-def svd_walk(x0, y_source, y_target, cfg: PieConfig, d, s: NoiseSchedule) -> Trajectory:
-    """Latent-walk baseline: every stage regenerates from the origin image with
-    the condition interpolated by n/N between source and target."""
+def svd_walk(x0, y_source, y_target, cfg: PieConfig, d, s: NoiseSchedule, seeds) -> list[Trajectory]:
+    """Latent-walk baseline, once per seed as one batch: every stage regenerates
+    from the origin image with the condition interpolated by n/N between source
+    and target."""
     x0 = np.asarray(x0, dtype=np.float64)
     k = stage_step_count(cfg, s) if cfg.N >= 1 else None
-    states = [x0.copy()]
+    states = _state_table(x0, seeds, cfg.N)
     for n in range(1, cfg.N + 1):
         y_n = blend_conditions(y_source, y_target, n / cfg.N)
-        eps = rng.normal(x0.shape, cfg.seed, stage=n)
-        x_k = forward_diffuse(x0, k, eps, s)
-        states.append(ddim_chain(x_k, k, d, y_n, s))
-    return Trajectory.from_states(states)
+        x_k = forward_diffuse(states[:, 0], k, _noise(x0.shape, seeds, n), s)
+        states[:, n] = ddim_chain(x_k, k, d, y_n, s)
+    return _trajectories(states)
 
 
 def extrapolation_walk(x0, manifold_a, manifold_b, N: int) -> Trajectory:
@@ -248,31 +276,32 @@ class DecayProbeResult:
     seed: int
 
 
-def decay_probe_run(x0, denoiser, y, s: NoiseSchedule, n_stages: int, seed: int) -> DecayProbeResult:
-    """Pure-edit recursion used by the convergence checks.
+def decay_probe_run(x0, denoiser, y, s: NoiseSchedule, n_stages: int, seeds) -> list[DecayProbeResult]:
+    """Pure-edit recursion used by the convergence checks, once per seed as one batch.
 
     Each stage rolls the state to the t=2 level with a single per-run noise
-    draw and takes one reverse step, landing at the t=1 level (cumulative
-    ᾱ₀ = alpha_bars[1] < 1). With a full mask and unit blends the ROI
-    composite is the identity, so it is omitted. Reusing one ε per run is
-    what makes the per-stage map affine, hence exactly geometric deltas;
-    fresh noise every stage leaves a delta floor that masks the decay.
+    draw, stream (seed, 0), and takes one reverse step, landing at the t=1
+    level (cumulative ᾱ₀ = alpha_bars[1] < 1). With a full mask and unit
+    blends the ROI composite is the identity, so it is omitted. Reusing one ε
+    per run is what makes the per-stage map affine, hence exactly geometric
+    deltas; fresh noise every stage leaves a delta floor that masks the decay.
     """
     if s.T < 2:
         raise InvalidArgument("decay probe needs T >= 2")
     x0 = np.asarray(x0, dtype=np.float64)
-    eps = rng.normal(x0.shape, seed, stage=0)
-    states = [x0.copy()]
-    c2 = 0.0
-    x = x0
-    for _ in range(n_stages):
+    eps = _noise(x0.shape, seeds, 0)
+    states = _state_table(x0, seeds, n_stages)
+    c2 = np.zeros(len(seeds))
+    x = states[:, 0]
+    for n in range(1, n_stages + 1):
         v = forward_diffuse(x, 2, eps, s)
         e_hat = denoiser.predict(v, 2, y)
-        c2 = max(c2, float(np.linalg.norm(e_hat.ravel())))
+        c2 = np.maximum(c2, [np.linalg.norm(row.ravel()) for row in e_hat])
         x = ddim_step(v, 2, e_hat, s)
-        states.append(x)
-    traj = Trajectory.from_states(states)
-    return DecayProbeResult(trajectory=traj, c1=float(np.linalg.norm(x0.ravel())), c2_observed=c2, seed=seed)
+        states[:, n] = x
+    c1 = float(np.linalg.norm(x0.ravel()))
+    return [DecayProbeResult(trajectory=traj, c1=c1, c2_observed=float(c), seed=seed)
+            for traj, c, seed in zip(_trajectories(states), c2, seeds)]
 
 
 @dataclass
@@ -308,11 +337,8 @@ class BoundSuiteResult:
 
 def run_bound_suite(x0, denoiser, y, s: NoiseSchedule, n_stages: int = 100,
                     seeds=range(50), delta: float = 0.01, burn_in: int = 5) -> BoundSuiteResult:
-    probes, bounds = [], []
-    for seed in seeds:
-        p = decay_probe_run(x0, denoiser, y, s, n_stages, seed)
-        probes.append(p)
-        bounds.append(prop2_bound(s, C1=p.c1, C2=p.c2_observed, delta=delta))
+    probes = decay_probe_run(x0, denoiser, y, s, n_stages, seeds)
+    bounds = [prop2_bound(s, C1=p.c1, C2=p.c2_observed, delta=delta) for p in probes]
     return BoundSuiteResult(schedule=s, delta=delta, probes=probes, bounds=bounds, burn_in=burn_in)
 
 

@@ -5,6 +5,10 @@ product Π_{s≤t}(1−β_s) with ``alpha_bars[0] = 1`` reserved for the clean s
 The reverse update is the σ=0 (deterministic) DDIM rule
 
     x_{t−1} = √ᾱ_{t−1}·(x_t − √(1−ᾱ_t)·ε̂)/√ᾱ_t + √(1−ᾱ_{t−1})·ε̂
+
+Both updates are elementwise, so ``forward_diffuse``, ``ddim_step`` and
+``ddim_chain`` take one image (*event) or a batch (B, *event) alike; row b of
+a batch gets exactly the values it would get alone.
 """
 
 from __future__ import annotations
@@ -78,6 +82,14 @@ def _check_step(t: int, s: NoiseSchedule) -> int:
     return int(t)
 
 
+def _check_batch(shape: tuple, event_shape: tuple, what: str) -> None:
+    """Accept one event of event_shape or a (B, *event_shape) batch of them."""
+    shape, event_shape = tuple(shape), tuple(event_shape)
+    lead = len(shape) - len(event_shape)
+    if lead not in (0, 1) or shape[lead:] != event_shape:
+        raise ShapeMismatch(f"{what} {shape} is neither {event_shape} nor a (B, *{event_shape}) batch")
+
+
 def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
     if np.shape(a) != np.shape(b):
         raise ShapeMismatch(f"{what}: {np.shape(a)} vs {np.shape(b)}")
@@ -109,7 +121,8 @@ def ddim_step(x_t: np.ndarray, t: int, eps_pred: np.ndarray, s: NoiseSchedule) -
 
 
 def ddim_chain(x_k, k: int, denoiser, y, s: NoiseSchedule) -> np.ndarray:
-    """Apply ddim_step from t=k down to t=1 using denoiser(x, t, y)."""
+    """Apply ddim_step from t=k down to t=1 using denoiser(x, t, y); x_k is one
+    image or a (B, *event) batch denoised under the one condition y."""
     k = _check_step(k, s)
     x = np.asarray(x_k, dtype=np.float64)
     for t in range(k, 0, -1):

@@ -136,8 +136,10 @@ def make_mask(spec: DomainSpec, kind: str, params: dict | None = None) -> np.nda
     if kind == "empty":
         return np.zeros((h, w))
     if kind == "disk":
-        center = tuple(params.get("center", (h / 2, w / 2)))
-        radius = float(params.get("radius", min(h, w) / 4))
+        if not {"center", "radius"} <= params.keys():
+            raise InvalidArgument(f"disk mask needs center and radius, got {sorted(params)}")
+        center = tuple(params["center"])
+        radius = float(params["radius"])
         feather = float(params.get("feather", 0.0))
         if not (0 <= center[0] < h and 0 <= center[1] < w) or radius < 0:
             raise InvalidArgument(f"disk {center} r={radius} outside the plane")

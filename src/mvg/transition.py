@@ -1,9 +1,11 @@
 """Mask-guided transition clips between consecutive edit states.
 
 A clip skeleton is [x_start, ε, …, ε, x_end]. Each middle frame is denoised
-on its own from step k=⌊γT⌋ down to 1 under the condition interpolated by its
-frame position, then composited against the endpoint average outside the ROI.
-The endpoint frames are the skeleton's, unchanged.
+from step k=⌊γT⌋ down to 1 under the condition interpolated by its frame
+position, then composited against the endpoint average outside the ROI. The
+middle frames that share a condition (all of them when the endpoints do) run
+as one (B, *event) batch; each frame's result is the one it gets alone. The
+endpoint frames are the skeleton's, unchanged.
 """
 
 from __future__ import annotations
@@ -66,9 +68,11 @@ def generate_transition(skel: VideoClip, m, d, s: NoiseSchedule, y_start, y_end,
 
     frames = skel.frames.copy()
     avg = 0.5 * (x_start + x_end)
-    for j in range(1, K - 1):
-        y_j = blend_conditions(y_start, y_end, j / (K - 1))
-        frames[j] = composite_roi(ddim_chain(frames[j], k, d, y_j, s), avg, mask, 0.0, 1.0)
+    ys = {j: blend_conditions(y_start, y_end, j / (K - 1)) for j in range(1, K - 1)}
+    for y in dict.fromkeys(ys.values()):
+        rows = [j for j, y_j in ys.items() if y_j == y]
+        gen = ddim_chain(frames[rows], k, d, y, s)
+        frames[rows] = composite_roi(gen, np.broadcast_to(avg, gen.shape), mask, 0.0, 1.0)
     return VideoClip(frames=frames)
 
 

@@ -137,9 +137,8 @@ def test_c06_mask_identity(default_model, sched50):
     outside = mask == 0.0
     x0 = sample(default_model, Condition(0, 0.0), 1, seed=55)[0]
     bad = 0
-    for seed in range(10):
-        cfg = PieConfig(N=10, gamma=0.6, beta1=0.0, beta2=0.75, seed=seed)
-        traj = pie_run(x0, Condition(1, 1.0), cfg, den, mask, sched50)
+    cfg = PieConfig(N=10, gamma=0.6, beta1=0.0, beta2=0.75)
+    for traj in pie_run(x0, Condition(1, 1.0), cfg, den, mask, sched50, range(10)):
         for state in traj.states:
             bad += not np.array_equal(state[outside], x0[outside])
     report("C6 mask-identity", bad == 0,

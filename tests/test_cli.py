@@ -8,6 +8,7 @@ import pytest
 from mvg import cli, io, rng
 from mvg.cli import main
 from mvg.config import SCHEMA, RunConfig
+from mvg.denoiser import Condition
 from mvg.errors import InvalidArgument
 from mvg.toydata import make_mask, render_mean
 from mvg.transition import make_clip_skeleton
@@ -119,10 +120,16 @@ class TestConfig:
         report = io.read_json(tmp_path / "v" / "verify_report.json")
         assert report["schedule"] == {"T": 2, "beta_start": 0.1, "beta_end": 0.1}
         assert report["alpha1"] == pytest.approx(0.81)
-        cfg = RunConfig.from_dict({"mask": {"kind": "disk", "params": {"radius": 3.0}}})
-        assert cfg.raw["mask"]["params"] == {"center": [10.0, 10.0], "radius": 3.0}
-        assert np.array_equal(cfg.mask(), make_mask(cfg.domain(), "disk",
-                                                    {"center": (10.0, 10.0), "radius": 3.0}))
+        # a mask without a kind has the default kind, disk
+        for mask in ({"kind": "disk", "params": {"radius": 3.0}}, {"params": {"radius": 3.0}}):
+            cfg = RunConfig.from_dict({"mask": mask})
+            assert cfg.raw["mask"] == {"kind": "disk",
+                                       "params": {"center": [10.0, 10.0], "radius": 3.0}}
+            assert np.array_equal(cfg.mask(), make_mask(cfg.domain(), "disk",
+                                                        {"center": (10.0, 10.0), "radius": 3.0}))
+        # a condition without a target has the default target
+        cfg = RunConfig.from_dict({"condition": {"source": {"class_id": 1}}})
+        assert cfg.conditions() == (Condition(1), Condition(1, 1.0))
         # the start image is the source condition's state
         source = {"condition": {"source": {"class_id": 1, "severity": 0.7},
                                 "target": {"class_id": 0}}}
@@ -324,6 +331,12 @@ class TestAblate:
         for name in ("ablate_gamma.csv", "ablate_steps.csv", "ablate_beta.csv"):
             inline = (tmp_path / "inline" / name).read_bytes()
             assert inline == (tmp_path / "pooled" / name).read_bytes(), name
+
+    def test_row_batches_match_one_batch(self, tmp_path, monkeypatch):
+        cfg = RunConfig.load(write_config(tmp_path, {"seeds": [0, 1, 2, 3, 4]}))
+        whole = cli._ablate_cell(cfg, {"N": 3}, cfg.seeds())
+        monkeypatch.setattr(cli, "ABLATE_BATCH_ROWS", 2)  # batches of 2, 2 and 1 seeds
+        assert cli._ablate_cell(cfg, {"N": 3}, cfg.seeds()) == whole
 
 
 class TestVerifyBounds:

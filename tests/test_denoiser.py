@@ -5,7 +5,7 @@ from mvg import (Condition, ConditionBlend, GmmDenoiser, GmmModel, Mixture,
                  ParzenDenoiser, blend_conditions, build_schedule, gmm_eps,
                  measure_c2, parzen_eps)
 from mvg.denoiser import FixedDenoiser, default_probe_set
-from mvg.errors import DegenerateMixture, InvalidArgument
+from mvg.errors import DegenerateMixture, InvalidArgument, ShapeMismatch
 from mvg.toydata import sample
 
 # max ||eps_hat|| over the canonical 1000-probe set on the default blob
@@ -92,6 +92,27 @@ class TestGmmEps:
         a = gmm_eps(x, 5, Condition(1, 0.5), default_model, sched50)
         b = gmm_eps(x, 5, Condition(1, 0.5), default_model, sched50)
         assert a.shape == x.shape and np.array_equal(a, b)
+        batch = np.stack([x, 2 * x, x])
+        assert gmm_eps(batch, 5, Condition(1, 0.5), default_model, sched50).shape == batch.shape
+        # a wrong event shape, and more than one leading axis, are rejected
+        for bad in (np.zeros((3, 15, 16)), np.zeros((3, 2, 16, 16))):
+            with pytest.raises(ShapeMismatch):
+                gmm_eps(bad, 5, Condition(1, 0.5), default_model, sched50)
+
+    def test_batch_rows_equal_single_calls(self, default_model, sched50):
+        """B=300, some rows far from every mean: every row of a batched call is
+        bit-identical to the call on that row alone, for both denoisers."""
+        g = np.random.default_rng(21)
+        x = 0.5 * g.standard_normal((300, 16, 16))
+        x[::7] *= 60.0
+        x[3] += 1e3
+        data = sample(default_model, Condition(0, 0.5), 40, seed=2)
+        for t in (1, 12, 50):
+            for y in (Condition(0), Condition(1, 0.5), ConditionBlend(Condition(0), Condition(1), 0.3)):
+                rows = np.stack([gmm_eps(row, t, y, default_model, sched50) for row in x])
+                assert np.array_equal(gmm_eps(x, t, y, default_model, sched50), rows), (t, y)
+            rows = np.stack([parzen_eps(row, t, data, sched50) for row in x])
+            assert np.array_equal(parzen_eps(x, t, data, sched50), rows), t
 
     def test_non_finite_input_rejected(self, std_normal_model, sched50):
         with pytest.raises(InvalidArgument):

@@ -63,6 +63,8 @@ class TestCompositeRoi:
             composite_roi(np.ones((2, 2)), np.ones((2, 2)), 2 * np.ones((2, 2)), 0, 1)
         with pytest.raises(ShapeMismatch):
             composite_roi(np.ones((2, 2)), np.ones((2, 2)), np.ones((3, 3)), 0, 1)
+        with pytest.raises(ShapeMismatch):  # a batch of 2x2 images against a 3x3 mask
+            composite_roi(np.ones((5, 2, 2)), np.ones((5, 2, 2)), np.ones((3, 3)), 0, 1)
 
     @given(beta1=st.floats(0, 1), beta2=st.floats(0, 1), seed=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -80,9 +82,10 @@ class TestCompositeRoi:
 class TestPieStage:
     def test_full_mask_unit_blend_equals_raw_chain(self, sched50):
         den = std_normal_denoiser((6, 6), sched50)
-        cfg = PieConfig(N=1, gamma=0.4, beta1=0.0, beta2=1.0, seed=7)
+        cfg = PieConfig(N=1, gamma=0.4, beta1=0.0, beta2=1.0)
         x_prev = np.random.default_rng(2).standard_normal((6, 6))
-        out = pie_stage(x_prev, x_prev, Condition(0), cfg, den, np.ones((6, 6)), sched50, 1)
+        (out,) = pie_stage(x_prev[None], x_prev, Condition(0), cfg, den, np.ones((6, 6)),
+                           sched50, 1, [7])
         k = stage_step_count(cfg, sched50)
         eps = mvg_rng.normal((6, 6), 7, stage=1)
         manual = ddim_chain(forward_diffuse(x_prev, k, eps, sched50), k, den, Condition(0), sched50)
@@ -90,17 +93,17 @@ class TestPieStage:
 
     def test_k_zero_rejected(self):
         s = build_schedule(2, 0.1, 0.1)
-        cfg = PieConfig(N=1, gamma=0.3, seed=0)  # floor(0.3*2) = 0
+        cfg = PieConfig(N=1, gamma=0.3)  # floor(0.3*2) = 0
         with pytest.raises(InvalidArgument):
-            pie_stage(np.zeros((2, 2)), np.zeros((2, 2)), Condition(0), cfg,
-                      std_normal_denoiser((2, 2), s), np.ones((2, 2)), s, 1)
+            pie_stage(np.zeros((1, 2, 2)), np.zeros((2, 2)), Condition(0), cfg,
+                      std_normal_denoiser((2, 2), s), np.ones((2, 2)), s, 1, [0])
 
 
 class TestPieRun:
     def test_n_zero_single_state(self, sched50):
         den = std_normal_denoiser((3, 3), sched50)
         x0 = np.ones((3, 3))
-        traj = pie_run(x0, Condition(0), PieConfig(N=0, seed=0), den, np.ones((3, 3)), sched50)
+        (traj,) = pie_run(x0, Condition(0), PieConfig(N=0), den, np.ones((3, 3)), sched50, [0])
         assert traj.N == 0 and len(traj.states) == 1 and traj.step_deltas.size == 0
         assert np.array_equal(traj.states[0], x0)
 
@@ -108,8 +111,8 @@ class TestPieRun:
         s = build_schedule(5, 1e-12, 1e-12)
         den = std_normal_denoiser((4, 4), s)
         x0 = np.random.default_rng(3).standard_normal((4, 4))
-        cfg = PieConfig(N=10, gamma=1.0, beta1=0.0, beta2=1.0, seed=1)
-        traj = pie_run(x0, Condition(0), cfg, den, np.ones((4, 4)), s)
+        cfg = PieConfig(N=10, gamma=1.0, beta1=0.0, beta2=1.0)
+        (traj,) = pie_run(x0, Condition(0), cfg, den, np.ones((4, 4)), s, [1])
         for state in traj.states:
             np.testing.assert_allclose(state, x0, atol=1e-4)
 
@@ -128,11 +131,9 @@ class TestPieRun:
         c = (1 - a) / V
         q = s2 * np.sqrt(a * (1 - a)) / V
 
-        states = np.empty((n_seeds, N + 1))
-        for seed in range(n_seeds):
-            cfg = PieConfig(N=N, gamma=1.0, beta1=0.0, beta2=1.0, seed=seed)
-            traj = pie_run(np.array([x0]), Condition(0), cfg, den, np.ones(1), s)
-            states[seed] = [st_[0] for st_ in traj.states]
+        cfg = PieConfig(N=N, gamma=1.0, beta1=0.0, beta2=1.0)
+        trajs = pie_run(np.array([x0]), Condition(0), cfg, den, np.ones(1), s, range(n_seeds))
+        states = np.array([[st_[0] for st_ in traj.states] for traj in trajs])
 
         m = x0
         for n in range(1, N + 1):
@@ -147,9 +148,8 @@ class TestPieRun:
         mask = make_mask(spec, "disk", {"center": (10.0, 10.0), "radius": 4.0})
         den = GmmDenoiser(default_model, sched50)
         x0 = np.random.default_rng(9).uniform(0, 1, spec.shape)
-        for seed in (0, 1, 2, 3, 4):
-            cfg = PieConfig(N=10, gamma=0.6, beta1=0.0, beta2=0.75, seed=seed)
-            traj = pie_run(x0, Condition(1, 1.0), cfg, den, mask, sched50)
+        cfg = PieConfig(N=10, gamma=0.6, beta1=0.0, beta2=0.75)
+        for traj in pie_run(x0, Condition(1, 1.0), cfg, den, mask, sched50, range(5)):
             outside = mask == 0.0
             for state in traj.states:
                 assert np.array_equal(state[outside], x0[outside])
@@ -157,11 +157,28 @@ class TestPieRun:
     def test_deterministic_bitwise(self, default_model, sched50):
         den = GmmDenoiser(default_model, sched50)
         x0 = np.random.default_rng(4).uniform(0, 1, (16, 16))
-        cfg = PieConfig(N=3, gamma=0.5, seed=42)
-        t1 = pie_run(x0, Condition(1, 1.0), cfg, den, np.ones((16, 16)), sched50)
-        t2 = pie_run(x0, Condition(1, 1.0), cfg, den, np.ones((16, 16)), sched50)
+        cfg = PieConfig(N=3, gamma=0.5)
+        (t1,) = pie_run(x0, Condition(1, 1.0), cfg, den, np.ones((16, 16)), sched50, [42])
+        (t2,) = pie_run(x0, Condition(1, 1.0), cfg, den, np.ones((16, 16)), sched50, [42])
         for a, b in zip(t1.states, t2.states):
             assert np.array_equal(a, b)
+
+    def test_seed_alone_equals_seed_in_batch(self, default_model, sched50):
+        """A seed's states are bit-identical run alone and inside a batch of 300
+        (soft mask, so the composite blends, and rows far from every mean)."""
+        from mvg.toydata import DomainSpec, make_mask
+        mask = make_mask(DomainSpec(), "disk", {"center": (10.0, 10.0), "radius": 4.0,
+                                                "feather": 1.5})
+        den = GmmDenoiser(default_model, sched50)
+        x0 = np.random.default_rng(6).uniform(0, 1, (16, 16))
+        x0[:2] = 40.0
+        cfg = PieConfig(N=10, gamma=0.6, beta1=0.1, beta2=0.75)
+        batch = pie_run(x0, Condition(1, 1.0), cfg, den, mask, sched50, range(300))
+        for seed in (0, 1, 137, 299):
+            (alone,) = pie_run(x0, Condition(1, 1.0), cfg, den, mask, sched50, [seed])
+            for a, b in zip(alone.states, batch[seed].states):
+                assert np.array_equal(a, b), seed
+            assert np.array_equal(alone.step_deltas, batch[seed].step_deltas)
 
     def test_config_validation(self):
         with pytest.raises(InvalidArgument):
@@ -198,10 +215,9 @@ class TestStepDecayFit:
         s = verify_schedule()
         den = std_normal_denoiser((16, 16), s)
         x0 = 10.0 * np.ones((16, 16))
-        slopes = []
-        for seed in range(10):
-            res = decay_probe_run(x0, den, Condition(0), s, n_stages=60, seed=seed)
-            slopes.append(step_decay_fit(res.trajectory, burn_in=5))
+        slopes = [step_decay_fit(res.trajectory, burn_in=5)
+                  for res in decay_probe_run(x0, den, Condition(0), s, n_stages=60,
+                                             seeds=range(10))]
         target = 0.5 * np.log(0.81)
         assert abs(np.mean(slopes) - target) / abs(target) <= 0.2
 
@@ -256,8 +272,8 @@ class TestBaselines:
     def test_svd_walk_single_stage_generates_from_origin(self, sched50):
         den = std_normal_denoiser((4,), sched50)
         x0 = np.array([1.0, -0.5, 0.2, 2.0])
-        cfg = PieConfig(N=1, gamma=0.5, seed=11)
-        traj = svd_walk(x0, Condition(0, 0.0), Condition(0, 1.0), cfg, den, sched50)
+        cfg = PieConfig(N=1, gamma=0.5)
+        (traj,) = svd_walk(x0, Condition(0, 0.0), Condition(0, 1.0), cfg, den, sched50, [11])
         k = stage_step_count(cfg, sched50)
         eps = mvg_rng.normal((4,), 11, stage=1)
         manual = ddim_chain(forward_diffuse(x0, k, eps, sched50), k, den,
@@ -269,8 +285,8 @@ class TestBaselines:
         # stages differ only through noise/condition, not through accumulation
         den = std_normal_denoiser((4,), sched50)
         x0 = np.array([5.0, 5.0, 5.0, 5.0])
-        cfg = PieConfig(N=3, gamma=0.9, seed=2)
-        traj = svd_walk(x0, Condition(0), Condition(0), cfg, den, sched50)
+        cfg = PieConfig(N=3, gamma=0.9)
+        (traj,) = svd_walk(x0, Condition(0), Condition(0), cfg, den, sched50, [2])
         spread = [np.linalg.norm(s_ - x0) for s_ in traj.states[1:]]
         assert max(spread) < 2 * min(spread) + 5.0
 
@@ -358,6 +374,20 @@ class TestDecaySuite:
         by_name = {o.name: o for o in check_bound_suite(tampered)}
         assert not by_name["drift_kappa"].passed
 
+    def test_seed_alone_equals_seed_in_batch(self):
+        """Verify schedule (T=2): a seed's states and observed C2 are
+        bit-identical run alone and inside a batch of 50."""
+        s = verify_schedule()
+        den = std_normal_denoiser((16, 16), s)
+        x0 = 10.0 * np.ones((16, 16))
+        batch = decay_probe_run(x0, den, Condition(0), s, n_stages=40, seeds=range(50))
+        for seed in (0, 17, 49):
+            (alone,) = decay_probe_run(x0, den, Condition(0), s, n_stages=40, seeds=[seed])
+            assert batch[seed].seed == seed
+            assert alone.c2_observed == batch[seed].c2_observed
+            for a, b in zip(alone.trajectory.states, batch[seed].trajectory.states):
+                assert np.array_equal(a, b), seed
+
     def test_zero_noise_schedule_trivially_passes(self):
         s = build_schedule(2, 1e-12, 1e-12)
         den = std_normal_denoiser((16, 16), s)
@@ -382,10 +412,8 @@ def test_directionality_rises_to_plateau():
     _, y = cfg.conditions()
     x0 = cfg.start_image()
     mix = model.mixture(y)
-    curves = []
-    for seed in range(50):
-        traj = pie_run(x0, y, PieConfig(N=10, gamma=0.6, seed=seed), den, mask, sched)
-        curves.append([mixture_logpdf(s_, mix) for s_ in traj.states])
+    curves = [[mixture_logpdf(s_, mix) for s_ in traj.states]
+              for traj in pie_run(x0, y, PieConfig(N=10, gamma=0.6), den, mask, sched, range(50))]
     m = np.mean(curves, axis=0)
     # plateau stage: first stage inside the stationary band (final level minus
     # twice the stationary wiggle); the curve must rise monotonically to it

@@ -108,6 +108,8 @@ class TestMakeMask:
         ("rect", {"y0": -1, "x0": 0, "y1": 4, "x1": 4}),
         ("rect", {"y0": 0, "x0": 0, "y1": 20, "x1": 4}),
         ("blob", {}),
+        ("disk", {}),
+        ("disk", {"radius": 2.0}),
     ])
     def test_out_of_plane_rejected(self, default_domain, kind, params):
         with pytest.raises(InvalidArgument):

@@ -106,21 +106,24 @@ class TestGenerateTransition:
         model, sched, mask = cfg.model(), cfg.schedule(), cfg.mask()
         assert np.any(mask == 0.0) and np.any(mask == 1.0)
         den = GmmDenoiser(model, sched)
-        y_start, y_end = Condition(0, 0.2), Condition(1, 0.9)
-        x_start = sample(model, y_start, 1, seed=31)[0]
-        x_end = sample(model, y_end, 1, seed=32)[0]
         K, gamma = 6, 0.6
         k = int(gamma * sched.T)
-        skel = make_clip_skeleton(x_start, x_end, K, seed=4)
-        clip = generate_transition(skel, mask, den, sched, y_start, y_end, gamma)
-        avg = 0.5 * (x_start + x_end)
-        assert np.array_equal(clip.frames[0], x_start)
-        assert np.array_equal(clip.frames[-1], x_end)
-        for j in range(1, K - 1):
-            y_j = blend_conditions(y_start, y_end, j / (K - 1))
-            expected = composite_roi(ddim_chain(skel.frames[j], k, den, y_j, sched),
-                                     avg, mask, 0.0, 1.0)
-            assert np.array_equal(clip.frames[j], expected), j
+        # classes 0 -> 1 give one condition per frame; equal endpoints give one
+        # condition, so all middle frames run as one batch
+        for y_start, y_end in ((Condition(0, 0.2), Condition(1, 0.9)),
+                               (Condition(1, 0.9), Condition(1, 0.9))):
+            x_start = sample(model, y_start, 1, seed=31)[0]
+            x_end = sample(model, y_end, 1, seed=32)[0]
+            skel = make_clip_skeleton(x_start, x_end, K, seed=4)
+            clip = generate_transition(skel, mask, den, sched, y_start, y_end, gamma)
+            avg = 0.5 * (x_start + x_end)
+            assert np.array_equal(clip.frames[0], x_start)
+            assert np.array_equal(clip.frames[-1], x_end)
+            for j in range(1, K - 1):
+                y_j = blend_conditions(y_start, y_end, j / (K - 1))
+                expected = composite_roi(ddim_chain(skel.frames[j], k, den, y_j, sched),
+                                         avg, mask, 0.0, 1.0)
+                assert np.array_equal(clip.frames[j], expected), (y_start, y_end, j)
 
     def test_smoothness_bound_on_domain_clips(self):
         """Adjacent middle frames stay within the endpoint distance plus the
