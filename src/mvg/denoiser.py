@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DegenerateMixture, InvalidArgument, ShapeMismatch
 from .scheduler import NoiseSchedule, _check_batch, _check_step
@@ -102,6 +101,25 @@ def _component_logits(offsets, log_w, var) -> np.ndarray:
     return log_w - 0.5 * d * np.log(2 * np.pi * var) - sq / (2 * var)
 
 
+def _logsumexp(a) -> np.float64:
+    """log Σ exp(a) over a 1-D real array, bit-identical to
+    ``scipy.special.logsumexp(a)``: the maxima are split out of the shifted sum
+    (log1p(s/count) + log(count) + max), and a non-finite result falls back to
+    the direct log Σ exp(a)."""
+    a = np.asarray(a, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = a.max()
+        at_top = a == top
+        count = at_top.sum(dtype=np.float64)
+        # zero the maxima rather than drop them: numpy's pairwise sum then runs
+        # over the same layout as scipy's, which keeps the bits equal
+        s = np.where(at_top, 0.0, np.exp(a - top)).sum()
+        out = np.log1p(s / count) + np.log(count) + top
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return out
+
+
 def _posterior_eps(x_rows, log_w, mu, var, alpha_bar: float) -> np.ndarray:
     """√(1−ᾱ)·Σᵢ rᵢ(x)·(x − √ᾱ·μᵢ)/Vᵢ per row of x_rows (B, d), with log-space
     responsibilities rᵢ; raises DegenerateMixture when every component weight
@@ -109,7 +127,8 @@ def _posterior_eps(x_rows, log_w, mu, var, alpha_bar: float) -> np.ndarray:
     a row's result does not depend on the other rows."""
     offsets = x_rows[:, None, :] - np.sqrt(alpha_bar) * mu
     comp = _component_logits(offsets, log_w, var)
-    # scipy's logsumexp has ~100x this overhead on small arrays; this is the hot path
+    # One vectorized pass over the (B, m) table: _logsumexp is per row and rounds
+    # differently (log1p split), so it would cost a loop and move every ε̂ by ulps.
     top = comp.max(axis=-1, keepdims=True)
     if not np.isfinite(top).all():
         raise DegenerateMixture("all mixture responsibilities underflowed")
@@ -126,7 +145,7 @@ def mixture_logpdf(x: np.ndarray, mix: Mixture, alpha_bar: float = 1.0) -> float
         raise ShapeMismatch(f"x has dim {x.shape[0]}, mixture has dim {mu.shape[1]}")
     var = alpha_bar * mix.variances + (1.0 - alpha_bar)
     offsets = x[None, None, :] - np.sqrt(alpha_bar) * mu
-    return float(logsumexp(_component_logits(offsets, np.log(mix.weights), var)[0]))
+    return float(_logsumexp(_component_logits(offsets, np.log(mix.weights), var)[0]))
 
 
 class GmmModel:

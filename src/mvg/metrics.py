@@ -7,9 +7,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .denoiser import Condition, GmmModel, mixture_logpdf
+from .denoiser import Condition, GmmModel, _logsumexp, mixture_logpdf
 from .errors import DegenerateMixture, InvalidArgument, ShapeMismatch
 from .pie import Trajectory
 
@@ -97,7 +96,7 @@ def confidence(x, y_target: Condition, m: GmmModel) -> float:
     values = np.array([logs[c] for c in m.class_ids])
     if not np.any(np.isfinite(values)):
         raise DegenerateMixture("density underflowed for every class")
-    log_post = values - logsumexp(values)
+    log_post = values - _logsumexp(values)
     return float(np.exp(log_post[m.class_ids.index(y_target.class_id)]))
 
 

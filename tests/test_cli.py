@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -12,6 +16,8 @@ from mvg.denoiser import Condition
 from mvg.errors import InvalidArgument
 from mvg.toydata import make_mask, render_mean
 from mvg.transition import make_clip_skeleton
+
+REPO = Path(__file__).resolve().parent.parent
 
 SMALL_CONFIG = {
     "schedule": {"T": 10},
@@ -374,3 +380,32 @@ class TestMetricsCommand:
         out = tmp_path / "out"
         main(["simulate", "--config", str(path), "--out", str(out)])
         assert main(["metrics", "--config", str(path), "--out", str(out), "--seeds", "1"]) == 0
+
+
+# What every command pays before its first denoiser call: import the CLI, load
+# the shipped configs, build schedule, model and denoiser, score one image.
+STARTUP_SCRIPT = """
+import sys
+import mvg.cli
+from mvg.config import RunConfig
+from mvg.denoiser import GmmDenoiser
+from mvg.metrics import confidence
+from mvg.scheduler import build_schedule
+
+cfg = RunConfig.load("configs/ablate.json")
+sched, model = cfg.schedule(), cfg.model()
+GmmDenoiser(model, sched)
+confidence(cfg.start_image(), cfg.conditions()[1], model)
+cfg = RunConfig.load("configs/verify.json")
+v = cfg.raw["verify"]
+GmmDenoiser(mvg.cli.verify_model(cfg.domain().shape), build_schedule(**v["schedule"]))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_startup_loads_no_scipy():
+    """scipy costs ~0.3 s of start-up per process; the runtime path must not load it."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT], cwd=REPO, env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]", out.stdout

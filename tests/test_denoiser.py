@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from mvg import (Condition, ConditionBlend, GmmDenoiser, GmmModel, Mixture,
                  ParzenDenoiser, blend_conditions, build_schedule, gmm_eps,
                  measure_c2, parzen_eps)
-from mvg.denoiser import FixedDenoiser, default_probe_set
+from mvg.denoiser import FixedDenoiser, _logsumexp, default_probe_set
 from mvg.errors import DegenerateMixture, InvalidArgument, ShapeMismatch
 from mvg.toydata import sample
 
@@ -193,6 +194,37 @@ class TestMeasureC2:
     def test_empty_probes_rejected(self):
         with pytest.raises(InvalidArgument):
             measure_c2(FixedDenoiser(), [])
+
+
+class TestLogsumexp:
+    """The package's own logsumexp equals scipy's bit for bit on real 1-D input,
+    so dropping scipy from the runtime path changes no output."""
+
+    @staticmethod
+    def assert_bits_equal(a):
+        a = np.asarray(a, dtype=np.float64)
+        want, got = logsumexp(a), _logsumexp(a)
+        assert type(got) is type(want)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (a, got, want)
+
+    def test_random_inputs(self):
+        g = np.random.default_rng(20)
+        for _ in range(3000):
+            scale = 10.0 ** g.uniform(-3, 3)
+            self.assert_bits_equal(scale * g.standard_normal(g.integers(1, 11)))
+
+    @pytest.mark.parametrize("a", [
+        [-np.inf, 0.3, -1.2],
+        [-np.inf, -np.inf, -np.inf],
+        [2.0, 2.0, 1.0],
+        [0.5, -3.0, 0.5, 0.5, -1.0, 0.2, 0.5, -7.0, 0.5],
+        [1e308, 1e308],
+        [-800.0, -801.0],
+        [4.0],
+    ], ids=["neg_inf_entry", "all_neg_inf", "tied_max", "tied_max_len9",
+            "huge_1e308", "low_-800", "single"])
+    def test_edge_inputs(self, a):
+        self.assert_bits_equal(a)
 
 
 class TestModel:
