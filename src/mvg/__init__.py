@@ -4,13 +4,12 @@ clips, and convergence diagnostics on analytic Gaussian-mixture domains."""
 __version__ = "0.1.0"
 
 from .denoiser import (Condition, ConditionBlend, GmmDenoiser, GmmModel,
-                       Mixture, ParzenDenoiser, blend_conditions, gmm_eps,
-                       measure_c2, mixture_logpdf, parzen_eps)
+                       Mixture, blend_conditions, gmm_eps, mixture_logpdf)
 from .metrics import (IdentityEmbedder, RandomProjectionEmbedder, clip_i,
                       confidence, kid, mae)
 from .pie import (ConvergenceBound, PieConfig, Trajectory, composite_roi,
-                  diff_heatmap, extrapolation_walk, pie_run, pie_stage,
-                  prop2_bound, step_decay_fit, svd_walk)
+                  diff_heatmap, pie_run, pie_stage, prop2_bound,
+                  step_decay_fit)
 from .scheduler import (NoiseSchedule, build_schedule, ddim_chain, ddim_step,
                         forward_diffuse)
 from .toydata import ClassSpec, DomainSpec, build_domain, make_mask, render_mean, sample
@@ -18,13 +17,11 @@ from .transition import VideoClip, concat_clips, generate_transition, make_clip_
 
 __all__ = [
     "Condition", "ConditionBlend", "GmmDenoiser", "GmmModel", "Mixture",
-    "ParzenDenoiser", "blend_conditions", "gmm_eps", "measure_c2",
-    "mixture_logpdf", "parzen_eps",
+    "blend_conditions", "gmm_eps", "mixture_logpdf",
     "IdentityEmbedder", "RandomProjectionEmbedder", "clip_i", "confidence",
     "kid", "mae",
     "ConvergenceBound", "PieConfig", "Trajectory", "composite_roi",
-    "diff_heatmap", "extrapolation_walk", "pie_run", "pie_stage",
-    "prop2_bound", "step_decay_fit", "svd_walk",
+    "diff_heatmap", "pie_run", "pie_stage", "prop2_bound", "step_decay_fit",
     "NoiseSchedule", "build_schedule", "ddim_chain", "ddim_step",
     "forward_diffuse",
     "ClassSpec", "DomainSpec", "build_domain", "make_mask", "render_mean", "sample",

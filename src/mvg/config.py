@@ -28,6 +28,9 @@ _CONDITION = {
     "additionalProperties": False,
 }
 
+# rng streams take non-negative entropy only; checked at load, before any run
+_SEED = {"type": "integer", "minimum": 0}
+
 _SCHEDULE = {
     "type": "object",
     "properties": {
@@ -82,7 +85,7 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "kind": {"enum": ["mean", "sample"]},
-                "seed": {"type": "integer"},
+                "seed": _SEED,
             },
             "additionalProperties": False,
         },
@@ -91,14 +94,14 @@ SCHEMA = {
             "properties": {
                 "kind": {"enum": ["identity", "random_projection"]},
                 "out_dim": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
+                "seed": _SEED,
             },
             "additionalProperties": False,
         },
         "reference_states": {"type": "array", "items": {"type": "string"}},
         "kid_reference": {
             "type": "object",
-            "properties": {"count": {"type": "integer", "minimum": 2}, "seed": {"type": "integer"}},
+            "properties": {"count": {"type": "integer", "minimum": 2}, "seed": _SEED},
             "additionalProperties": False,
         },
         "video": {
@@ -106,7 +109,7 @@ SCHEMA = {
             "properties": {
                 "K": {"type": "integer", "minimum": 2},
                 "gamma": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "seed": {"type": "integer"},
+                "seed": _SEED,
             },
             "additionalProperties": False,
         },
@@ -125,13 +128,12 @@ SCHEMA = {
         "out_dir": {"type": "string"},
         "seeds": {
             "oneOf": [
-                {"type": "array", "items": {"type": "integer"}, "minItems": 1,
-                 "uniqueItems": True},
+                {"type": "array", "items": _SEED, "minItems": 1, "uniqueItems": True},
                 {
                     "type": "object",
                     "properties": {
                         "count": {"type": "integer", "minimum": 1},
-                        "start": {"type": "integer"},
+                        "start": _SEED,
                     },
                     "required": ["count"],
                     "additionalProperties": False,

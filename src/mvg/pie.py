@@ -1,5 +1,5 @@
 """Progressive editing: per-stage noise/denoise with ROI compositing, the
-geometric-decay bound calculators, decay diagnostics, and the two baselines.
+geometric-decay bound calculators, and decay diagnostics.
 
 A stage noises the previous state to step k = ⌊γT⌋, runs the deterministic
 reverse chain under the target condition, then blends the result against the
@@ -7,10 +7,10 @@ run-origin image inside/outside the ROI mask:
 
     out = (β₁·(x'−x₀) + x₀)·(1−M) + (β₂·(x'−x₀) + x₀)·M
 
-The recursions (``pie_run``, ``svd_walk``, ``decay_probe_run``) take a list of
-seeds and run them as one (B, *event) batch through the engine, one state
-table of shape (B, N+1, *event); row b's noise comes from its own stream
-(seeds[b], stage), so a seed's states do not depend on its batch-mates.
+The recursions (``pie_run``, ``decay_probe_run``) take a list of seeds and
+run them as one (B, *event) batch through the engine, one state table of shape
+(B, N+1, *event); row b's noise comes from its own stream (seeds[b], stage),
+so a seed's states do not depend on its batch-mates.
 ``composite_roi`` blends one image or a (B, *plane) batch against one mask.
 """
 
@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import rng
-from .denoiser import blend_conditions
 from .errors import DegenerateSchedule, InvalidArgument, ShapeMismatch
 from .scheduler import NoiseSchedule, _check_batch, ddim_chain, ddim_step, forward_diffuse
 
@@ -221,36 +220,6 @@ def prop2_bound(s: NoiseSchedule, C1: float, C2: float, delta: float) -> Converg
         delta=delta, alpha0=a0, alpha1=a1,
     )
     return replace(bound, n_min=bound.n_min_for(delta))
-
-
-def svd_walk(x0, y_source, y_target, cfg: PieConfig, d, s: NoiseSchedule, seeds) -> list[Trajectory]:
-    """Latent-walk baseline, once per seed as one batch: every stage regenerates
-    from the origin image with the condition interpolated by n/N between source
-    and target."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    k = stage_step_count(cfg, s) if cfg.N >= 1 else None
-    states = _state_table(x0, seeds, cfg.N)
-    for n in range(1, cfg.N + 1):
-        y_n = blend_conditions(y_source, y_target, n / cfg.N)
-        x_k = forward_diffuse(states[:, 0], k, _noise(x0.shape, seeds, n), s)
-        states[:, n] = ddim_chain(x_k, k, d, y_n, s)
-    return _trajectories(states)
-
-
-def extrapolation_walk(x0, manifold_a, manifold_b, N: int) -> Trajectory:
-    """Mean-shift baseline: walk x0 along Δ = mean(B) − mean(A) in N equal steps."""
-    if len(manifold_a) == 0 or len(manifold_b) == 0:
-        raise InvalidArgument("manifolds must be non-empty")
-    x0 = np.asarray(x0, dtype=np.float64)
-    a = np.asarray(manifold_a, dtype=np.float64)
-    b = np.asarray(manifold_b, dtype=np.float64)
-    if a.shape[1:] != x0.shape or b.shape[1:] != x0.shape:
-        raise ShapeMismatch("manifold items must match x0's shape")
-    delta = b.mean(axis=0) - a.mean(axis=0)
-    states = [x0.copy()]
-    for n in range(1, N + 1):
-        states.append(x0 + (n / N) * delta)
-    return Trajectory.from_states(states)
 
 
 def diff_heatmap(a, b) -> np.ndarray:

@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import mvg
 from mvg import cli, io, rng
 from mvg.cli import main
 from mvg.config import SCHEMA, RunConfig
@@ -159,6 +160,15 @@ class TestConfig:
         cfg = RunConfig.load(path)
         assert np.array_equal(cfg.mask(), mask)
 
+    @pytest.mark.parametrize("overrides", [
+        {"seeds": [0, -1]}, {"seeds": {"count": 2, "start": -1}},
+        {"start": {"kind": "sample", "seed": -1}}, {"kid_reference": {"seed": -1}},
+        {"video": {"seed": -1}}, {"embedder": {"kind": "random_projection", "seed": -1}},
+    ], ids=["seeds_item", "seeds_start", "start", "kid_reference", "video", "embedder"])
+    def test_negative_seed_rejected(self, overrides):
+        with pytest.raises(InvalidArgument, match="minimum"):
+            RunConfig.from_dict(overrides)
+
     def test_seed_range_form(self, tmp_path):
         path = write_config(tmp_path, {"seeds": {"count": 4, "start": 10}})
         assert RunConfig.load(path).seeds() == [10, 11, 12, 13]
@@ -179,6 +189,19 @@ class TestFlags:
         assert not (tmp_path / "out").exists()
         path = write_config(tmp_path, {"seeds": [1, 1]})
         assert main(["ablate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--seeds=-3"]) == 1
+        assert "negative seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_stream_seed_rejected_before_any_run(self, tmp_path):
+        # the stream raises only when first drawn, after every run is marked complete
+        path = write_config(tmp_path, {"kid_reference": {"seed": -1}})
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "kid")]) == 1
+        assert not list(tmp_path.glob("kid/seed_*"))
 
     def test_flags_only_where_read(self, tmp_path):
         path = write_config(tmp_path)
@@ -409,3 +432,8 @@ def test_startup_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT], cwd=REPO, env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_exports_resolve():
+    assert len(set(mvg.__all__)) == len(mvg.__all__)
+    assert [name for name in mvg.__all__ if not hasattr(mvg, name)] == []

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from mvg import (Condition, GmmDenoiser, GmmModel, Mixture, PieConfig,
                  Trajectory, build_schedule, composite_roi, diff_heatmap,
-                 extrapolation_walk, forward_diffuse, ddim_chain, pie_run,
-                 pie_stage, prop2_bound, step_decay_fit, svd_walk)
+                 forward_diffuse, ddim_chain, pie_run, pie_stage, prop2_bound,
+                 step_decay_fit)
 from mvg import rng as mvg_rng
 from mvg.denoiser import mixture_logpdf
 from mvg.errors import DegenerateSchedule, InvalidArgument, ShapeMismatch
@@ -266,51 +266,6 @@ class TestProp2Bound:
     def test_needs_two_steps(self):
         with pytest.raises(InvalidArgument):
             prop2_bound(build_schedule(1, 0.19, 0.19), 1.0, 1.0, 0.01)
-
-
-class TestBaselines:
-    def test_svd_walk_single_stage_generates_from_origin(self, sched50):
-        den = std_normal_denoiser((4,), sched50)
-        x0 = np.array([1.0, -0.5, 0.2, 2.0])
-        cfg = PieConfig(N=1, gamma=0.5)
-        (traj,) = svd_walk(x0, Condition(0, 0.0), Condition(0, 1.0), cfg, den, sched50, [11])
-        k = stage_step_count(cfg, sched50)
-        eps = mvg_rng.normal((4,), 11, stage=1)
-        manual = ddim_chain(forward_diffuse(x0, k, eps, sched50), k, den,
-                            Condition(0, 1.0), sched50)
-        assert np.array_equal(traj.states[1], manual)
-        assert np.array_equal(traj.states[0], x0)
-
-    def test_svd_walk_regenerates_from_origin_every_stage(self, sched50):
-        # stages differ only through noise/condition, not through accumulation
-        den = std_normal_denoiser((4,), sched50)
-        x0 = np.array([5.0, 5.0, 5.0, 5.0])
-        cfg = PieConfig(N=3, gamma=0.9)
-        (traj,) = svd_walk(x0, Condition(0), Condition(0), cfg, den, sched50, [2])
-        spread = [np.linalg.norm(s_ - x0) for s_ in traj.states[1:]]
-        assert max(spread) < 2 * min(spread) + 5.0
-
-    def test_extrapolation_equal_means_constant(self):
-        x0 = np.ones((2, 2))
-        manifold = [np.zeros((2, 2)), 2 * np.ones((2, 2))]
-        traj = extrapolation_walk(x0, manifold, list(manifold), N=4)
-        for s_ in traj.states:
-            np.testing.assert_array_equal(s_, x0)
-
-    def test_extrapolation_single_step(self):
-        a, b = np.zeros((2,)), np.array([1.0, 3.0])
-        traj = extrapolation_walk(np.ones(2), [a], [b], N=1)
-        assert len(traj.states) == 2
-        np.testing.assert_allclose(traj.states[1], np.ones(2) + (b - a))
-
-    def test_extrapolation_singleton_delta(self):
-        a, b = np.array([1.0]), np.array([4.0])
-        traj = extrapolation_walk(np.zeros(1), [a], [b], N=3)
-        np.testing.assert_allclose(traj.states[3], b - a)
-
-    def test_extrapolation_empty_manifold(self):
-        with pytest.raises(InvalidArgument):
-            extrapolation_walk(np.zeros(1), [], [np.ones(1)], N=2)
 
 
 class TestDiffHeatmap:

@@ -17,6 +17,12 @@ class TestBuildSchedule:
         s = build_schedule(1, 1e-12, 1e-12)
         assert abs(s.alpha_bars[1] - 1.0) < 1e-11
 
+    def test_alpha_bar_one_unreachable(self):
+        # beta small enough to round alpha_bar_1 to 1.0 violates the schedule
+        # invariant at construction, so no step has a zero noise level 1 - alpha_bar
+        with pytest.raises(InvalidArgument):
+            build_schedule(1, 1e-18, 1e-18)
+
     def test_hand_product(self):
         s = build_schedule(2, 0.1, 0.1)
         np.testing.assert_allclose(s.alpha_bars, [1.0, 0.9, 0.81], rtol=1e-15)
