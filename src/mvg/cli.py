@@ -298,6 +298,8 @@ def _parse_seeds(text: str | None, cfg: RunConfig) -> list[int]:
     if not text:
         return cfg.seeds()
     seeds = [int(s) for s in text.split(",") if s.strip()]
+    if not seeds:
+        raise InvalidArgument(f"no seed in --seeds {text!r}")
     if any(s < 0 for s in seeds):
         raise InvalidArgument(f"negative seed in --seeds {text}")
     if len(set(seeds)) != len(seeds):

@@ -195,6 +195,10 @@ class RunConfig:
             raise InvalidArgument(f"config invalid at {list(err.absolute_path)}: {err.message}")
         cfg = cls(raw=_merged(raw), base_dir=Path(base_dir))
         cfg.domain()  # rejects unknown domain and class keys
+        v = cfg.raw["verify"]
+        if v["stages"] - v["burn_in"] < 10:  # the decay-slope fit needs 10 stages
+            raise InvalidArgument(f"verify needs stages - burn_in >= 10, got "
+                                  f"{v['stages']} - {v['burn_in']}")
         cfg._check_files()
         return cfg
 

@@ -169,6 +169,15 @@ class TestConfig:
         with pytest.raises(InvalidArgument, match="minimum"):
             RunConfig.from_dict(overrides)
 
+    def test_burn_in_leaving_too_few_stages_rejected(self, tmp_path):
+        # the decay-slope fit needs 10 stages after burn-in; rejected before any run
+        with pytest.raises(InvalidArgument, match="burn_in"):
+            RunConfig.from_dict({"verify": {"stages": 15, "burn_in": 10, "seeds": 3}})
+        RunConfig.from_dict({"verify": {"stages": 15, "burn_in": 5}})
+        path = write_config(tmp_path, {"verify": {"stages": 20, "burn_in": 11}})
+        assert main(["verify-bounds", "--config", str(path), "--out", str(tmp_path / "v")]) == 1
+        assert not (tmp_path / "v").exists()
+
     def test_seed_range_form(self, tmp_path):
         path = write_config(tmp_path, {"seeds": {"count": 4, "start": 10}})
         assert RunConfig.load(path).seeds() == [10, 11, 12, 13]
@@ -195,6 +204,13 @@ class TestFlags:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
                      "--seeds=-3"]) == 1
         assert "negative seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_seedless_seeds_flag_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--seeds", ","]) == 1
+        assert "no seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_negative_stream_seed_rejected_before_any_run(self, tmp_path):

@@ -13,8 +13,9 @@ from mvg import (Condition, GmmDenoiser, GmmModel, Mixture, PieConfig,
 from mvg import rng as mvg_rng
 from mvg.denoiser import mixture_logpdf
 from mvg.errors import DegenerateSchedule, InvalidArgument, ShapeMismatch
-from mvg.pie import (check_bound_suite, decay_probe_run, run_bound_suite,
+from mvg.pie import (_row_norms, check_bound_suite, decay_probe_run, run_bound_suite,
                      stage_step_count)
+from mvg.scheduler import ddim_step
 from mvg.config import RunConfig
 from tests.conftest import SOFT_DOMAIN, std_normal_denoiser
 
@@ -287,6 +288,57 @@ class TestDiffHeatmap:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             diff_heatmap(np.zeros(2), np.zeros(3))
+
+
+def per_row_norms(rows):
+    return np.array([np.linalg.norm(row.ravel()) for row in rows])
+
+
+class TestRowNorms:
+    """_row_norms equals a per-row np.linalg.norm bit for bit (einsum and
+    (x*x).sum do not), so batching the norms moves no output."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("B", [1, 4, 50, 300])
+    def test_equals_per_row_linalg_norm(self, B, scale):
+        a = np.random.default_rng(B).standard_normal((B, 16, 16)) * scale
+        assert np.array_equal(_row_norms(a), per_row_norms(a))
+
+    def test_views_zero_rows_and_empty(self):
+        table = np.random.default_rng(7).standard_normal((5, 11, 16, 16))
+        for n in range(11):  # rows of states[:, n] sit 11 images apart
+            assert np.array_equal(_row_norms(table[:, n]), per_row_norms(table[:, n]))
+        strided = table[:, 0, :, ::2]  # unit-stride dots differ from strided ones
+        assert np.array_equal(_row_norms(strided), per_row_norms(strided))
+        a = table[:, 0].copy()
+        a[2] = 0.0
+        assert _row_norms(a)[2] == 0.0
+        assert np.array_equal(_row_norms(a), per_row_norms(a))
+        assert _row_norms(np.zeros((0, 16, 16))).shape == (0,)
+
+    def test_decay_probe_norms_match_per_row_reference(self):
+        """Verify schedule, B=50: c1, the observed C2 and the step deltas
+        equal a per-row np.linalg.norm loop over the same recursion."""
+        s = verify_schedule()
+        den = std_normal_denoiser((16, 16), s)
+        x0 = 10.0 * np.ones((16, 16))
+        seeds = range(50)
+        probes = decay_probe_run(x0, den, Condition(0), s, n_stages=100, seeds=seeds)
+        eps = np.stack([mvg_rng.normal(x0.shape, seed, stage=0) for seed in seeds])
+        x = np.broadcast_to(x0, eps.shape)
+        c2 = np.zeros(len(seeds))
+        for _ in range(100):
+            v = forward_diffuse(x, 2, eps, s)
+            e_hat = den.predict(v, 2, Condition(0))
+            c2 = np.maximum(c2, per_row_norms(e_hat))
+            x = ddim_step(v, 2, e_hat, s)
+        for b, p in enumerate(probes):
+            states = p.trajectory.states
+            assert np.array_equal(states[-1], x[b])
+            deltas = [np.linalg.norm((y - w).ravel()) for w, y in zip(states, states[1:])]
+            assert np.array_equal(p.trajectory.step_deltas, deltas)
+            assert p.c2_observed == c2[b]
+            assert p.c1 == np.linalg.norm(x0.ravel())
 
 
 @pytest.fixture(scope="module")
