@@ -54,15 +54,14 @@ def _write_metrics(run_dir: Path, seed: int, states, model, y_target, embedder, 
     """Write and return metrics.csv's per-stage rows (run_id, stage, conf,
     clip_i, kid, mae) for the states as stored; kid is a set metric and stays
     nan at stage level, mae needs reference states."""
-    traj = Trajectory.from_states(states)
-    cos = metrics_mod.stage_cosines(traj, embedder) if traj.N >= 1 else np.array([])
+    cos = metrics_mod.stage_cosines(states, embedder) if len(states) >= 2 else np.array([])
     rows = []
-    for n in range(traj.N + 1):
-        conf = metrics_mod.confidence(traj.states[n], y_target, model)
+    for n, state in enumerate(states):
+        conf = metrics_mod.confidence(state, y_target, model)
         ci = 1.0 if n == 0 else float(cos[n - 1])
         ref_err = math.nan
         if n < len(reference):
-            ref_err = metrics_mod.mae(traj.states[n], reference[n])
+            ref_err = metrics_mod.mae(state, reference[n])
         rows.append((f"seed{seed}", n, conf, ci, math.nan, ref_err))
     io.write_csv(run_dir / "metrics.csv", ["run_id", "stage", "conf", "clip_i", "kid", "mae"], rows)
     return rows
@@ -212,7 +211,7 @@ def _ablate_cell(cfg: RunConfig, overrides: dict, seeds: list[int]):
     for i in range(0, len(seeds), ABLATE_BATCH_ROWS):
         trajs = pie_run(x0, y_target, pc, den, mask, sched, seeds[i:i + ABLATE_BATCH_ROWS])
         terminal += [traj.states[-1].copy() for traj in trajs]
-        clip_is += [metrics_mod.clip_i(traj, emb) for traj in trajs]
+        clip_is += [metrics_mod.clip_i(traj.states, emb) for traj in trajs]
         del trajs  # free this batch's state table before the next one is allocated
     confs = [metrics_mod.confidence(x, y_target, model) for x in terminal]
     ref_cfg = cfg.raw["kid_reference"]

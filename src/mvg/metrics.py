@@ -10,7 +10,6 @@ import numpy as np
 
 from .denoiser import Condition, GmmModel, _logsumexp, mixture_logpdf
 from .errors import DegenerateMixture, InvalidArgument, ShapeMismatch
-from .pie import Trajectory
 
 
 class IdentityEmbedder:
@@ -57,23 +56,25 @@ def make_embedder(kind: str = "identity", out_dim: int = 64, seed: int = 0):
     raise InvalidArgument(f"unknown embedder kind {kind!r}")
 
 
-def stage_cosines(traj: Trajectory, e) -> np.ndarray:
-    """cos(e(states[n]), e(states[0])) for n=1..N; nan where a state embeds to zero."""
-    ref = e(traj.states[0])
+def stage_cosines(states, e) -> np.ndarray:
+    """cos(e(states[n]), e(states[0])) for n=1..N of states x⁰₀..x⁰_N, a
+    sequence of images or an (N+1, *event) array; nan where a state embeds to zero."""
+    ref = e(states[0])
     if np.linalg.norm(ref) == 0:
         raise InvalidArgument("origin state embeds to the zero vector")
-    out = np.empty(traj.N)
-    for n in range(1, traj.N + 1):
-        f = e(traj.states[n])
+    out = np.empty(len(states) - 1)
+    for n in range(1, len(states)):
+        f = e(states[n])
         out[n - 1] = np.nan if np.linalg.norm(f) == 0 else float(f @ ref)
     return out
 
 
-def clip_i(traj: Trajectory, e) -> float:
-    """Mean cosine similarity between each state's embedding and the origin's."""
-    if traj.N < 1:
+def clip_i(states, e) -> float:
+    """Mean cosine similarity between each later state's embedding and the
+    first state's (states as in stage_cosines)."""
+    if len(states) < 2:
         raise InvalidArgument("need at least one generated state")
-    cos = stage_cosines(traj, e)
+    cos = stage_cosines(states, e)
     valid = ~np.isnan(cos)
     if not valid.any():
         raise InvalidArgument("every state embedded to the zero vector")

@@ -8,9 +8,11 @@ run-origin image inside/outside the ROI mask:
     out = (β₁·(x'−x₀) + x₀)·(1−M) + (β₂·(x'−x₀) + x₀)·M
 
 The recursions (``pie_run``, ``decay_probe_run``) take a list of seeds and
-run them as one (B, *event) batch through the engine, one state table of shape
-(B, N+1, *event); row b's noise comes from its own stream (seeds[b], stage),
-so a seed's states do not depend on its batch-mates.
+run them as one (B, *event) batch through the engine; row b's noise comes from
+its own stream (seeds[b], stage), so a seed's results do not depend on its
+batch-mates. ``pie_run`` keeps every state, a (B, N+1, *event) table.
+``decay_probe_run`` keeps only what the decay checks read: per probe the step
+deltas, the observed C₂ and the drift ‖x_N − x₀‖, O(B) images at any stage.
 ``composite_roi`` blends one image or a (B, *plane) batch against one mask.
 Every L2 norm of an image (step deltas, C₁, the observed C₂, the drift) goes
 through ``_row_norms``, which takes a batch of rows and equals a per-row
@@ -146,31 +148,22 @@ def composite_roi(x_gen, x_base, mask, beta1: float, beta2: float) -> np.ndarray
     return np.where(m == 0.0, outside, np.where(m == 1.0, inside, blended))
 
 
-def stage_step_count(cfg: PieConfig, s: NoiseSchedule) -> int:
-    k = math.floor(cfg.gamma * s.T)
-    if k < 1:
-        raise InvalidArgument(f"gamma*T = {cfg.gamma * s.T:.3f} gives k=0; increase gamma or T")
-    return min(k, s.T)
+def stage_step_count(gamma: float, s: NoiseSchedule) -> int:
+    """k = ⌊γT⌋, the step an edit stage or a clip frame is noised to; 1 ≤ k ≤ T."""
+    k = math.floor(gamma * s.T)
+    if not (1 <= k <= s.T):
+        raise InvalidArgument(f"gamma={gamma} gives k={k} outside 1..{s.T}; change gamma or T")
+    return k
+
+
+def _check_seeds(seeds) -> None:
+    if len(seeds) == 0:
+        raise InvalidArgument("need at least one seed")
 
 
 def _noise(shape, seeds, stage: int) -> np.ndarray:
     """(B, *shape) unit normals; row b is stream (seeds[b], stage)."""
     return np.stack([rng.normal(shape, seed, stage=stage) for seed in seeds])
-
-
-def _state_table(x0: np.ndarray, seeds, n_stages: int) -> np.ndarray:
-    """(B, n_stages+1, *x0.shape) states of a seed batch, every row starting at x0."""
-    if len(seeds) == 0:
-        raise InvalidArgument("need at least one seed")
-    states = np.empty((len(seeds), n_stages + 1) + x0.shape)
-    states[:, 0] = x0
-    return states
-
-
-def _trajectories(states: np.ndarray) -> list[Trajectory]:
-    """One Trajectory per row of a state table; its states are views into the table.
-    (Differencing row by row keeps the temporary to one row, not a second table.)"""
-    return [Trajectory.from_states(row) for row in states]
 
 
 def pie_stage(x_prev, x_origin, y, cfg: PieConfig, d, m, s: NoiseSchedule, stage_index: int,
@@ -181,7 +174,7 @@ def pie_stage(x_prev, x_origin, y, cfg: PieConfig, d, m, s: NoiseSchedule, stage
     x_origin = np.asarray(x_origin, dtype=np.float64)
     if x_prev.shape != (len(seeds),) + x_origin.shape:
         raise ShapeMismatch(f"x_prev {x_prev.shape} vs {len(seeds)} seeds of x_origin {x_origin.shape}")
-    k = stage_step_count(cfg, s)
+    k = stage_step_count(cfg.gamma, s)
     x_k = forward_diffuse(x_prev, k, _noise(x_origin.shape, seeds, stage_index), s)
     x_gen = ddim_chain(x_k, k, d, y, s)
     return composite_roi(x_gen, np.broadcast_to(x_origin, x_gen.shape), m, cfg.beta1, cfg.beta2)
@@ -190,23 +183,29 @@ def pie_stage(x_prev, x_origin, y, cfg: PieConfig, d, m, s: NoiseSchedule, stage
 def pie_run(x0, y_target, cfg: PieConfig, d, m, s: NoiseSchedule, seeds) -> list[Trajectory]:
     """Run the edit recursion for cfg.N stages from x0 once per seed, all seeds
     as one batch, conditioning every stage on y_target."""
+    _check_seeds(seeds)
     x0 = np.asarray(x0, dtype=np.float64)
-    states = _state_table(x0, seeds, cfg.N)
+    states = np.empty((len(seeds), cfg.N + 1) + x0.shape)
+    states[:, 0] = x0
     for n in range(1, cfg.N + 1):
         states[:, n] = pie_stage(states[:, n - 1], x0, y_target, cfg, d, m, s, n, seeds)
-    return _trajectories(states)
+    # each Trajectory's states are views into the table; differencing row by
+    # row keeps the temporary to one row, not a second table
+    return [Trajectory.from_states(row) for row in states]
 
 
-def step_decay_fit(traj: Trajectory, burn_in: int) -> float:
-    """Least-squares slope of log step deltas vs. stage index after burn_in.
+def step_decay_fit(deltas, burn_in: int) -> float:
+    """Least-squares slope of log step deltas vs. stage index after burn_in,
+    given the N deltas of stages 1..N.
 
     For single-reverse-step stages the state contracts by ≈√ᾱ₁ per stage
     (ᾱ₁ = the rolled-to cumulative level), so the expected slope is ½·log ᾱ₁.
     """
-    if traj.N - burn_in < 10:
-        raise InvalidArgument(f"need N - burn_in >= 10, got {traj.N} - {burn_in}")
-    stages = np.arange(1, traj.N + 1)
-    deltas = traj.step_deltas
+    deltas = np.asarray(deltas, dtype=np.float64)
+    N = len(deltas)
+    if N - burn_in < 10:
+        raise InvalidArgument(f"need N - burn_in >= 10, got {N} - {burn_in}")
+    stages = np.arange(1, N + 1)
     keep = (stages > burn_in) & (deltas > 0)
     if keep.sum() < 2:
         raise InvalidArgument("fewer than two positive deltas after burn-in")
@@ -253,14 +252,17 @@ def diff_heatmap(a, b) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DecayProbeResult:
-    trajectory: Trajectory
-    c1: float            # ‖x0‖
-    c2_observed: float   # max ‖ε̂‖ seen during the run
-    seed: int
+class DecayProbes:
+    """A batch of decay-probe runs; row b of each array belongs to seeds[b]."""
+
+    seeds: list[int]
+    c1: float                # ‖x0‖, the same for every probe
+    c2_observed: np.ndarray  # (B,) max ‖ε̂‖ seen during each run
+    step_deltas: np.ndarray  # (B, N) ‖x_n − x_{n−1}‖ for stages n = 1..N
+    drift: np.ndarray        # (B,) ‖x_N − x_0‖
 
 
-def decay_probe_run(x0, denoiser, y, s: NoiseSchedule, n_stages: int, seeds) -> list[DecayProbeResult]:
+def decay_probe_run(x0, denoiser, y, s: NoiseSchedule, n_stages: int, seeds) -> DecayProbes:
     """Pure-edit recursion used by the convergence checks, once per seed as one batch.
 
     Each stage rolls the state to the t=2 level with a single per-run noise
@@ -269,23 +271,26 @@ def decay_probe_run(x0, denoiser, y, s: NoiseSchedule, n_stages: int, seeds) -> 
     blends the ROI composite is the identity, so it is omitted. Reusing one ε
     per run is what makes the per-stage map affine, hence exactly geometric
     deltas; fresh noise every stage leaves a delta floor that masks the decay.
+    Only the current states are held, not the trajectories.
     """
     if s.T < 2:
         raise InvalidArgument("decay probe needs T >= 2")
+    _check_seeds(seeds)
     x0 = np.asarray(x0, dtype=np.float64)
     eps = _noise(x0.shape, seeds, 0)
-    states = _state_table(x0, seeds, n_stages)
     c2 = np.zeros(len(seeds))
-    x = states[:, 0]
-    for n in range(1, n_stages + 1):
+    # C order: mean(axis=0) adds the probes' rows in seed order, which fixes mean_slope's last bits
+    deltas = np.empty((len(seeds), n_stages))
+    x = np.broadcast_to(x0, eps.shape)
+    for n in range(n_stages):
         v = forward_diffuse(x, 2, eps, s)
         e_hat = denoiser.predict(v, 2, y)
         c2 = np.maximum(c2, _row_norms(e_hat))
-        x = ddim_step(v, 2, e_hat, s)
-        states[:, n] = x
-    c1 = float(_row_norms(x0[None])[0])
-    return [DecayProbeResult(trajectory=traj, c1=c1, c2_observed=float(c), seed=seed)
-            for traj, c, seed in zip(_trajectories(states), c2, seeds)]
+        x_new = ddim_step(v, 2, e_hat, s)
+        deltas[:, n] = _row_norms(x_new - x)
+        x = x_new
+    return DecayProbes(seeds=list(seeds), c1=float(_row_norms(x0[None])[0]), c2_observed=c2,
+                       step_deltas=deltas, drift=_row_norms(x - x0))
 
 
 @dataclass
@@ -294,7 +299,7 @@ class BoundSuiteResult:
 
     schedule: NoiseSchedule
     delta: float
-    probes: list[DecayProbeResult]
+    probes: DecayProbes
     bounds: list[ConvergenceBound]
     burn_in: int = 5
 
@@ -305,24 +310,18 @@ class BoundSuiteResult:
     def negligible(self) -> bool:
         """True when the schedule injected no noise to speak of: every step
         delta is at float-residue scale relative to the start image."""
-        scale = 1.0 + max(p.c1 for p in self.probes)
-        return all(p.trajectory.step_deltas.max(initial=0.0) <= 1e-6 * scale
-                   for p in self.probes)
+        return bool(self.probes.step_deltas.max(initial=0.0) <= 1e-6 * (1.0 + self.probes.c1))
 
     def mean_slope(self) -> float | None:
         if self.negligible():
             return None  # nothing to fit, decay trivially satisfied
-        all_deltas = np.stack([p.trajectory.step_deltas for p in self.probes])
-        mean_traj = Trajectory(
-            states=self.probes[0].trajectory.states, step_deltas=all_deltas.mean(axis=0)
-        )
-        return step_decay_fit(mean_traj, self.burn_in)
+        return step_decay_fit(self.probes.step_deltas.mean(axis=0), self.burn_in)
 
 
 def run_bound_suite(x0, denoiser, y, s: NoiseSchedule, n_stages: int = 100,
                     seeds=range(50), delta: float = 0.01, burn_in: int = 5) -> BoundSuiteResult:
     probes = decay_probe_run(x0, denoiser, y, s, n_stages, seeds)
-    bounds = [prop2_bound(s, C1=p.c1, C2=p.c2_observed, delta=delta) for p in probes]
+    bounds = [prop2_bound(s, C1=probes.c1, C2=float(c2), delta=delta) for c2 in probes.c2_observed]
     return BoundSuiteResult(schedule=s, delta=delta, probes=probes, bounds=bounds, burn_in=burn_in)
 
 
@@ -340,7 +339,8 @@ NMIN_QUORUM = 0.9      # share of seeds whose first sub-delta stage n_min must b
 
 def check_bound_suite(result: BoundSuiteResult) -> list[CheckOutcome]:
     """Evaluate the decay-suite assertions."""
-    n_seeds = len(result.probes)
+    probes = result.probes
+    n_seeds = len(probes.seeds)
     if result.negligible():
         # zero-noise schedule: every delta is numerically zero, the decay
         # statements hold vacuously and the envelope constants are meaningless
@@ -356,16 +356,13 @@ def check_bound_suite(result: BoundSuiteResult) -> list[CheckOutcome]:
         f"slope {slope:.5f} vs target {target:.5f} (rel. dev. {rel:.1%})")]
 
     env_fail, drift_fail, nmin_ok = [], [], 0
-    for p, b in zip(result.probes, result.bounds):
-        deltas = p.trajectory.step_deltas
+    for seed, deltas, drift, b in zip(probes.seeds, probes.step_deltas, probes.drift, result.bounds):
         stages = np.arange(1, len(deltas) + 1)
         sel = stages >= ENVELOPE_FROM
         if np.any(deltas[sel] > b.envelope(stages[sel])):
-            env_fail.append(p.seed)
-        # one row per probe: stacking every probe's drift would raise peak memory
-        drift = _row_norms((p.trajectory.states[-1] - p.trajectory.states[0])[None])[0]
+            env_fail.append(seed)
         if drift > b.kappa:
-            drift_fail.append(p.seed)
+            drift_fail.append(seed)
         below = np.nonzero(deltas < result.delta)[0]
         first_below = int(below[0]) + 1 if below.size else None
         if first_below is not None:

@@ -10,7 +10,6 @@ endpoint frames are the skeleton's, unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from . import rng
 from .denoiser import blend_conditions
 from .errors import InvalidArgument, SeamMismatch, ShapeMismatch
-from .pie import composite_roi, validate_mask
+from .pie import composite_roi, stage_step_count, validate_mask
 from .scheduler import NoiseSchedule, ddim_chain
 
 
@@ -59,9 +58,7 @@ def make_clip_skeleton(x_start, x_end, K: int, seed: int, tag: tuple = ()) -> Vi
 def generate_transition(skel: VideoClip, m, d, s: NoiseSchedule, y_start, y_end,
                         gamma: float) -> VideoClip:
     """Denoise the skeleton's middle frames into a coherent transition clip."""
-    k = math.floor(gamma * s.T)
-    if not (1 <= k <= s.T):
-        raise InvalidArgument(f"gamma={gamma} gives k={k} outside 1..{s.T}")
+    k = stage_step_count(gamma, s)
     K = skel.K
     x_start, x_end = skel.frames[0], skel.frames[K - 1]
     mask = validate_mask(m, x_start.shape)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from mvg import (Condition, GmmDenoiser, Trajectory, build_schedule,
+from mvg import (Condition, GmmDenoiser, build_schedule,
                  ddim_step, forward_diffuse, gmm_eps, pie_run)
 from mvg.cli import main, verify_model
 from mvg.config import RunConfig
@@ -107,8 +107,7 @@ def test_c03_geometric_decay_slope(decay_suite):
 def test_c04_drift_bound(decay_suite):
     suite, _ = decay_suite
     ok = 0
-    for p, b in zip(suite.probes, suite.bounds):
-        drift = np.linalg.norm(p.trajectory.states[-1] - p.trajectory.states[0])
+    for drift, b in zip(suite.probes.drift, suite.bounds):
         ok += drift <= b.kappa
     report("C4 drift-bound", ok == 50, f"drift within kappa for {ok}/50 seeds")
 
@@ -116,8 +115,7 @@ def test_c04_drift_bound(decay_suite):
 def test_c05_stage_bound(decay_suite):
     suite, _ = decay_suite
     env_ok, nmin_ok = 0, 0
-    for p, b in zip(suite.probes, suite.bounds):
-        deltas = p.trajectory.step_deltas
+    for deltas, b in zip(suite.probes.step_deltas, suite.bounds):
         stages = np.arange(1, len(deltas) + 1)
         sel = stages >= 5
         env_ok += bool(np.all(deltas[sel] <= b.envelope(stages[sel])))
@@ -221,11 +219,9 @@ def test_c09_metric_oracles(default_model):
     kid_null = abs(kid(draws[:500], draws[500:], RandomProjectionEmbedder(seed=0)))
 
     x = np.array([1.0, 0.0])
-    const = clip_i(Trajectory(states=[x, x], step_deltas=np.zeros(1)), IdentityEmbedder())
-    orth = clip_i(Trajectory(states=[x, np.array([0.0, 1.0])], step_deltas=np.ones(1)),
-                  IdentityEmbedder())
-    hand = clip_i(Trajectory(states=[x, np.array([np.sqrt(0.5), np.sqrt(0.5)])],
-                             step_deltas=np.ones(1)), IdentityEmbedder())
+    const = clip_i([x, x], IdentityEmbedder())
+    orth = clip_i([x, np.array([0.0, 1.0])], IdentityEmbedder())
+    hand = clip_i([x, np.array([np.sqrt(0.5), np.sqrt(0.5)])], IdentityEmbedder())
     clip_exact = const == 1.0 and abs(orth) < 1e-15 and abs(hand - np.sqrt(0.5)) < 1e-15
     report("C9 metric-oracles",
            worst <= 1e-10 and kid_null <= 0.01 and clip_exact,

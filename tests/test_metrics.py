@@ -2,49 +2,43 @@ import numpy as np
 import pytest
 
 from mvg import (Condition, GmmModel, IdentityEmbedder, Mixture,
-                 RandomProjectionEmbedder, Trajectory, clip_i, confidence,
+                 RandomProjectionEmbedder, clip_i, confidence,
                  kid, mae)
 from mvg.errors import InvalidArgument, ShapeMismatch
 from mvg.metrics import make_embedder
 from mvg.toydata import DomainSpec, sample
 
 
-def traj_of(states):
-    states = [np.asarray(s, dtype=float) for s in states]
-    deltas = np.array([np.linalg.norm((b - a).ravel()) for a, b in zip(states, states[1:])])
-    return Trajectory(states=states, step_deltas=deltas)
-
-
 class TestClipI:
     def test_constant_trajectory_is_one(self):
         x = np.array([1.0, 2.0, 3.0])
-        assert clip_i(traj_of([x, x, x]), IdentityEmbedder()) == pytest.approx(1.0)
+        assert clip_i([x, x, x], IdentityEmbedder()) == pytest.approx(1.0)
 
     def test_orthogonal_state_is_zero(self):
         a = np.array([1.0, 0.0])
         b = np.array([0.0, 1.0])
-        assert clip_i(traj_of([a, b]), IdentityEmbedder()) == pytest.approx(0.0, abs=1e-15)
+        assert clip_i([a, b], IdentityEmbedder()) == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_cosine(self):
         a = np.array([1.0, 0.0])
         b = np.array([np.sqrt(0.5), np.sqrt(0.5)])
-        assert clip_i(traj_of([a, b]), IdentityEmbedder()) == pytest.approx(np.sqrt(0.5))
+        assert clip_i([a, b], IdentityEmbedder()) == pytest.approx(np.sqrt(0.5))
 
     def test_zero_embedding_excluded_with_warning(self):
         a = np.array([1.0, 0.0])
         with pytest.warns(UserWarning):
-            value = clip_i(traj_of([a, np.zeros(2), a]), IdentityEmbedder())
+            value = clip_i([a, np.zeros(2), a], IdentityEmbedder())
         assert value == pytest.approx(1.0)
 
     def test_range(self):
         rng = np.random.default_rng(0)
         states = [rng.standard_normal(5) for _ in range(6)]
-        v = clip_i(traj_of(states), IdentityEmbedder())
+        v = clip_i(states, IdentityEmbedder())
         assert -1.0 <= v <= 1.0
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(InvalidArgument):
-            clip_i(traj_of([np.ones(2)]), IdentityEmbedder())
+            clip_i([np.ones(2)], IdentityEmbedder())
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvg import (Condition, GmmDenoiser, GmmModel, Mixture, PieConfig,
-                 Trajectory, build_schedule, composite_roi, diff_heatmap,
+                 build_schedule, composite_roi, diff_heatmap,
                  forward_diffuse, ddim_chain, pie_run, pie_stage, prop2_bound,
                  step_decay_fit)
 from mvg import rng as mvg_rng
@@ -87,7 +88,7 @@ class TestPieStage:
         x_prev = np.random.default_rng(2).standard_normal((6, 6))
         (out,) = pie_stage(x_prev[None], x_prev, Condition(0), cfg, den, np.ones((6, 6)),
                            sched50, 1, [7])
-        k = stage_step_count(cfg, sched50)
+        k = stage_step_count(cfg.gamma, sched50)
         eps = mvg_rng.normal((6, 6), 7, stage=1)
         manual = ddim_chain(forward_diffuse(x_prev, k, eps, sched50), k, den, Condition(0), sched50)
         assert np.array_equal(out, manual)
@@ -101,6 +102,13 @@ class TestPieStage:
 
 
 class TestPieRun:
+    @pytest.mark.parametrize("N", [0, 3])
+    def test_empty_seed_list_rejected(self, N, sched50):
+        den = std_normal_denoiser((4, 4), sched50)
+        with pytest.raises(InvalidArgument, match="seed"):
+            pie_run(np.ones((4, 4)), Condition(0), PieConfig(N=N), den, np.ones((4, 4)),
+                    sched50, seeds=[])
+
     def test_n_zero_single_state(self, sched50):
         den = std_normal_denoiser((3, 3), sched50)
         x0 = np.ones((3, 3))
@@ -192,33 +200,28 @@ class TestPieRun:
 
 class TestStepDecayFit:
     def test_constant_deltas_slope_zero(self):
-        traj = Trajectory(states=[np.zeros(1)] * 21, step_deltas=np.full(20, 0.5))
-        assert step_decay_fit(traj, burn_in=2) == pytest.approx(0.0, abs=1e-12)
+        assert step_decay_fit(np.full(20, 0.5), burn_in=2) == pytest.approx(0.0, abs=1e-12)
 
     def test_geometric_deltas_exact(self):
         r = 0.9
         deltas = r ** np.arange(1, 21)
-        traj = Trajectory(states=[np.zeros(1)] * 21, step_deltas=deltas)
-        assert step_decay_fit(traj, burn_in=3) == pytest.approx(np.log(r), rel=1e-10)
+        assert step_decay_fit(deltas, burn_in=3) == pytest.approx(np.log(r), rel=1e-10)
 
     def test_zero_deltas_excluded(self):
         deltas = 0.8 ** np.arange(1, 21)
         deltas[5] = 0.0
-        traj = Trajectory(states=[np.zeros(1)] * 21, step_deltas=deltas)
-        assert step_decay_fit(traj, burn_in=0) == pytest.approx(np.log(0.8), rel=1e-10)
+        assert step_decay_fit(deltas, burn_in=0) == pytest.approx(np.log(0.8), rel=1e-10)
 
     def test_too_few_stages_rejected(self):
-        traj = Trajectory(states=[np.zeros(1)] * 6, step_deltas=np.ones(5))
         with pytest.raises(InvalidArgument):
-            step_decay_fit(traj, burn_in=0)
+            step_decay_fit(np.ones(5), burn_in=0)
 
     def test_engine_slope_matches_half_log_alpha1(self):
         s = verify_schedule()
         den = std_normal_denoiser((16, 16), s)
         x0 = 10.0 * np.ones((16, 16))
-        slopes = [step_decay_fit(res.trajectory, burn_in=5)
-                  for res in decay_probe_run(x0, den, Condition(0), s, n_stages=60,
-                                             seeds=range(10))]
+        probes = decay_probe_run(x0, den, Condition(0), s, n_stages=60, seeds=range(10))
+        slopes = [step_decay_fit(deltas, burn_in=5) for deltas in probes.step_deltas]
         target = 0.5 * np.log(0.81)
         assert abs(np.mean(slopes) - target) / abs(target) <= 0.2
 
@@ -317,29 +320,30 @@ class TestRowNorms:
         assert _row_norms(np.zeros((0, 16, 16))).shape == (0,)
 
     def test_decay_probe_norms_match_per_row_reference(self):
-        """Verify schedule, B=50: c1, the observed C2 and the step deltas
-        equal a per-row np.linalg.norm loop over the same recursion."""
+        """Verify schedule, B=50: c1, the observed C2, the step deltas and the
+        drift equal per-row np.linalg.norm over states of the same recursion
+        that this loop collects itself."""
         s = verify_schedule()
         den = std_normal_denoiser((16, 16), s)
         x0 = 10.0 * np.ones((16, 16))
         seeds = range(50)
         probes = decay_probe_run(x0, den, Condition(0), s, n_stages=100, seeds=seeds)
         eps = np.stack([mvg_rng.normal(x0.shape, seed, stage=0) for seed in seeds])
-        x = np.broadcast_to(x0, eps.shape)
+        states = [np.broadcast_to(x0, eps.shape)]
         c2 = np.zeros(len(seeds))
         for _ in range(100):
-            v = forward_diffuse(x, 2, eps, s)
+            v = forward_diffuse(states[-1], 2, eps, s)
             e_hat = den.predict(v, 2, Condition(0))
             c2 = np.maximum(c2, per_row_norms(e_hat))
-            x = ddim_step(v, 2, e_hat, s)
-        for b, p in enumerate(probes):
-            states = p.trajectory.states
-            assert np.array_equal(states[-1], x[b])
-            deltas = [np.linalg.norm((y - w).ravel()) for w, y in zip(states, states[1:])]
-            assert np.array_equal(p.trajectory.step_deltas, deltas)
-            assert p.c2_observed == c2[b]
-            assert p.c1 == np.linalg.norm(x0.ravel())
-
+            states.append(ddim_step(v, 2, e_hat, s))
+        assert probes.seeds == list(seeds)
+        assert probes.c1 == np.linalg.norm(x0.ravel())
+        assert probes.step_deltas.shape == (50, 100)
+        assert np.array_equal(probes.c2_observed, c2)
+        for b in range(len(seeds)):
+            deltas = [np.linalg.norm((y[b] - w[b]).ravel()) for w, y in zip(states, states[1:])]
+            assert np.array_equal(probes.step_deltas[b], deltas)
+            assert probes.drift[b] == np.linalg.norm((states[-1][b] - x0).ravel())
 
 @pytest.fixture(scope="module")
 def small_suite():
@@ -355,45 +359,59 @@ class TestDecaySuite:
 
     def test_deltas_exactly_geometric(self, small_suite):
         # one fixed eps per run makes the stage map affine
-        d = small_suite.probes[0].trajectory.step_deltas
+        d = small_suite.probes.step_deltas[0]
         ratios = d[1:] / d[:-1]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)
 
     def test_injected_delta_above_envelope_fails(self, small_suite):
-        probe = small_suite.probes[0]
-        bad_deltas = probe.trajectory.step_deltas.copy()
-        bad_deltas[40] *= 1e6
-        bad_probe = dataclasses.replace(
-            probe, trajectory=Trajectory(states=probe.trajectory.states,
-                                         step_deltas=bad_deltas))
-        tampered = dataclasses.replace(small_suite, probes=[bad_probe] + small_suite.probes[1:])
+        bad_deltas = small_suite.probes.step_deltas.copy()
+        bad_deltas[0, 40] *= 1e6
+        tampered = dataclasses.replace(
+            small_suite, probes=dataclasses.replace(small_suite.probes, step_deltas=bad_deltas))
         by_name = {o.name: o for o in check_bound_suite(tampered)}
         assert not by_name["step_envelope"].passed
 
     def test_injected_drift_above_kappa_fails(self, small_suite):
-        probe = small_suite.probes[0]
-        states = list(probe.trajectory.states)
-        states[-1] = states[-1] + 1e4
-        bad_probe = dataclasses.replace(
-            probe, trajectory=Trajectory(states=states,
-                                         step_deltas=probe.trajectory.step_deltas))
-        tampered = dataclasses.replace(small_suite, probes=[bad_probe] + small_suite.probes[1:])
+        bad_drift = small_suite.probes.drift.copy()
+        bad_drift[0] += 1e4
+        tampered = dataclasses.replace(
+            small_suite, probes=dataclasses.replace(small_suite.probes, drift=bad_drift))
         by_name = {o.name: o for o in check_bound_suite(tampered)}
         assert not by_name["drift_kappa"].passed
 
     def test_seed_alone_equals_seed_in_batch(self):
-        """Verify schedule (T=2): a seed's states and observed C2 are
-        bit-identical run alone and inside a batch of 50."""
+        """Verify schedule (T=2): a seed's step deltas, drift and observed C2
+        are bit-identical run alone and inside a batch of 50."""
         s = verify_schedule()
         den = std_normal_denoiser((16, 16), s)
         x0 = 10.0 * np.ones((16, 16))
         batch = decay_probe_run(x0, den, Condition(0), s, n_stages=40, seeds=range(50))
         for seed in (0, 17, 49):
-            (alone,) = decay_probe_run(x0, den, Condition(0), s, n_stages=40, seeds=[seed])
-            assert batch[seed].seed == seed
-            assert alone.c2_observed == batch[seed].c2_observed
-            for a, b in zip(alone.trajectory.states, batch[seed].trajectory.states):
-                assert np.array_equal(a, b), seed
+            alone = decay_probe_run(x0, den, Condition(0), s, n_stages=40, seeds=[seed])
+            assert batch.seeds[seed] == seed and alone.seeds == [seed]
+            assert alone.c2_observed[0] == batch.c2_observed[seed]
+            assert np.array_equal(alone.step_deltas[0], batch.step_deltas[seed]), seed
+            assert alone.drift[0] == batch.drift[seed]
+
+    def test_empty_seed_list_rejected(self):
+        s = verify_schedule()
+        den = std_normal_denoiser((4, 4), s)
+        with pytest.raises(InvalidArgument, match="seed"):
+            decay_probe_run(np.ones((4, 4)), den, Condition(0), s, n_stages=20, seeds=[])
+
+    def test_decay_probe_holds_no_state_table(self):
+        """B=200, N=100 on 16x16: the (B, N+1, *event) state table alone would
+        be 41 MB; the probes keep O(B) images, so the peak stays below 8 MB."""
+        s = verify_schedule()
+        den = std_normal_denoiser((16, 16), s)
+        x0 = 10.0 * np.ones((16, 16))
+        tracemalloc.start()
+        try:
+            decay_probe_run(x0, den, Condition(0), s, n_stages=100, seeds=range(200))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_zero_noise_schedule_trivially_passes(self):
         s = build_schedule(2, 1e-12, 1e-12)
