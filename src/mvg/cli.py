@@ -2,8 +2,9 @@
 
 Every command takes --config PATH (JSON, schema in config.py) and is
 deterministic given the config plus seeds. MVG_LOG={error,info,debug} controls
-log verbosity. simulate's seeds and ablate's sweep cells run in a worker pool
-under --jobs N; an ablate cell's seeds run in batches of ABLATE_BATCH_ROWS.
+log verbosity. simulate's seeds and ablate's batches run in a worker pool
+under --jobs N. ablate makes every (sweep cell, seed) a row and runs the rows
+of one γ together, across cells, in pie_run batches of ABLATE_BATCH_ROWS.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ GAMMA_SWEEP = (0.1, 0.2, 0.4, 0.6, 0.8)
 STEPS_SWEEP = (1, 5, 10, 50, 100)
 BETA1_SWEEP = (0.01, 0.1, 0.2)
 BETA2_SWEEP = (1.0, 0.75, 0.5)
-# seeds per pie_run batch in an ablate cell: bounds a worker's state table at
-# ABLATE_BATCH_ROWS x (N+1) images however many seeds the config asks for
+# rows per ablate pie_run batch, a row being one (sweep cell, seed) of the
+# batch's γ: bounds a worker's state table at ABLATE_BATCH_ROWS x (max N + 1)
+# images however many seeds the config asks for
 ABLATE_BATCH_ROWS = 64
 
 
@@ -197,43 +199,52 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
     return 0
 
 
-def _ablate_cell(cfg: RunConfig, overrides: dict, seeds: list[int]):
-    """One sweep cell, its seeds run in batches of ABLATE_BATCH_ROWS:
-    seeds-averaged terminal confidence, trajectory clip_i, and terminal-set kid
-    against a reference sample of the target condition."""
-    model, sched, mask = cfg.model(), cfg.schedule(), cfg.mask()
-    den = GmmDenoiser(model, sched)
+def _ablate_batch(cfg: RunConfig, rows: list[tuple]):
+    """One pie_run over rows [(PieConfig, seed)] that share γ: per row its
+    terminal state, the terminal confidence and the trajectory's clip_i."""
+    model, sched = cfg.model(), cfg.schedule()
     _, y_target = cfg.conditions()
     emb = cfg.embedder()
-    x0 = cfg.start_image()
-    pc = dataclasses.replace(cfg.pie_config(), **overrides)
-    terminal, clip_is = [], []
-    for i in range(0, len(seeds), ABLATE_BATCH_ROWS):
-        trajs = pie_run(x0, y_target, pc, den, mask, sched, seeds[i:i + ABLATE_BATCH_ROWS])
-        terminal += [traj.states[-1].copy() for traj in trajs]
-        clip_is += [metrics_mod.clip_i(traj.states, emb) for traj in trajs]
-        del trajs  # free this batch's state table before the next one is allocated
-    confs = [metrics_mod.confidence(x, y_target, model) for x in terminal]
-    ref_cfg = cfg.raw["kid_reference"]
-    reference = toydata.sample(model, y_target, ref_cfg["count"], seed=ref_cfg["seed"])
-    cell_kid = metrics_mod.kid(terminal, reference, emb) if len(terminal) >= 2 else math.nan
-    return float(np.mean(confs)), float(np.mean(clip_is)), cell_kid
+    pcs, seeds = zip(*rows)
+    trajs = pie_run(cfg.start_image(), y_target, pcs, GmmDenoiser(model, sched), cfg.mask(),
+                    sched, seeds)
+    # copy the terminal state so the batch's state table is freed on return
+    return [(traj.states[-1].copy(), metrics_mod.confidence(traj.states[-1], y_target, model),
+             metrics_mod.clip_i(traj.states, emb)) for traj in trajs]
 
 
 def cmd_ablate(cfg: RunConfig, out_dir: Path, seeds: list[int], jobs: int = 1) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    # (table, key columns, PieConfig overrides) per sweep cell
+    base = cfg.pie_config()
+    # (table, key columns, PieConfig) per sweep cell
     cells = (
-        [("gamma", (g,), {"gamma": g}) for g in GAMMA_SWEEP]
-        + [("steps", (n,), {"N": n, "gamma": 0.5}) for n in STEPS_SWEEP]
-        + [("beta", (b1, b2), {"beta1": b1, "beta2": b2})
+        [("gamma", (g,), dataclasses.replace(base, gamma=g)) for g in GAMMA_SWEEP]
+        + [("steps", (n,), dataclasses.replace(base, N=n, gamma=0.5)) for n in STEPS_SWEEP]
+        + [("beta", (b1, b2), dataclasses.replace(base, beta1=b1, beta2=b2))
            for b1 in BETA1_SWEEP for b2 in BETA2_SWEEP]
     )
-    results = _map(_ablate_cell, [(cfg, overrides, seeds) for _t, _k, overrides in cells], jobs)
+    pcs = [pc for _t, _k, pc in cells]
+    # every (cell, seed index) is a row; the rows of one γ fill batches, longest N first
+    batches = []
+    for gamma in dict.fromkeys(pc.gamma for pc in pcs):
+        group = sorted(((c, i) for c, pc in enumerate(pcs) if pc.gamma == gamma
+                        for i in range(len(seeds))), key=lambda row: -pcs[row[0]].N)
+        batches += [group[j:j + ABLATE_BATCH_ROWS] for j in range(0, len(group), ABLATE_BATCH_ROWS)]
+    results = _map(_ablate_batch, [(cfg, [(pcs[c], seeds[i]) for c, i in batch])
+                                   for batch in batches], jobs)
+    by_row = {row: out for batch, outs in zip(batches, results) for row, out in zip(batch, outs)}
 
+    # per cell, in seed order: mean terminal confidence, mean clip_i, and the
+    # terminal set's kid against one reference sample of the target condition
+    _, y_target = cfg.conditions()
+    emb = cfg.embedder()
+    ref_cfg = cfg.raw["kid_reference"]
+    reference = toydata.sample(cfg.model(), y_target, ref_cfg["count"], seed=ref_cfg["seed"])
     tables = {"gamma": [], "steps": [], "beta": []}
-    for (table, keys, _overrides), result in zip(cells, results):
-        tables[table].append(keys + result)
+    for c, (table, keys, _pc) in enumerate(cells):
+        terminal, confs, clip_is = zip(*(by_row[c, i] for i in range(len(seeds))))
+        cell_kid = metrics_mod.kid(list(terminal), reference, emb) if len(seeds) >= 2 else math.nan
+        tables[table].append(keys + (float(np.mean(confs)), float(np.mean(clip_is)), cell_kid))
     io.write_csv(out_dir / "ablate_gamma.csv", ["gamma", "conf", "clip_i", "kid"], tables["gamma"])
     io.write_csv(out_dir / "ablate_steps.csv", ["steps", "conf", "clip_i", "kid"], tables["steps"])
     io.write_csv(out_dir / "ablate_beta.csv", ["beta1", "beta2", "conf", "clip_i", "kid"], tables["beta"])

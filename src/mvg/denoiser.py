@@ -7,7 +7,10 @@ level ᾱ is Σᵢ wᵢ·N(√ᾱ·μᵢ, (ᾱσᵢ² + 1−ᾱ)I), so the optim
                = √(1−ᾱ_t)·Σᵢ rᵢ(x)·(x − √ᾱ_t·μᵢ)/Vᵢ,   Vᵢ = ᾱ_t σᵢ² + 1−ᾱ_t
 
 is available exactly, with responsibilities rᵢ computed in log space. The
-denoiser and the density share one component kernel.
+denoiser and the density share one component kernel. It expands the squares,
+‖x − √ᾱ·μᵢ‖² = ‖x‖² − 2√ᾱ·x·μᵢ + ᾱ‖μᵢ‖², and ε̂ likewise as
+√(1−ᾱ)·(x·Σᵢ rᵢ/Vᵢ − √ᾱ·Σᵢ (rᵢ/Vᵢ)·μᵢ), so a batch costs O(B·(m+d)) memory,
+never a (B, m, d) table of offsets.
 
 ``gmm_eps`` and ``GmmDenoiser.predict`` take one image (*event) or a batch
 (B, *event), the event shape being the mixture's. The kernel works on (B, d)
@@ -89,12 +92,19 @@ class Mixture:
         return int(np.prod(self.event_shape))
 
 
-def _component_logits(offsets, log_w, var) -> np.ndarray:
-    """log(wᵢ·N(x; √ᾱ·μᵢ, VᵢI)) from the offsets x − √ᾱ·μᵢ (B, m, d) of rows x
-    (B, d) to components μ (m, d), given diffused variances var = V: a (B, m) table."""
-    d = offsets.shape[-1]
-    with np.errstate(over="ignore"):  # inf distance -> -inf density
-        sq = np.sum(offsets ** 2, axis=-1)
+def _component_logits(x, mu, ab: float, log_w, var) -> np.ndarray:
+    """log(wᵢ·N(x; √ᾱ·μᵢ, VᵢI)) of rows x (B, d) for components μ (m, d) at
+    level ᾱ = ab, given diffused variances var = V: a (B, m) table. The squared
+    distance is expanded, ‖x‖² − 2√ᾱ·x·μᵢ + ᾱ‖μᵢ‖², so no (B, m, d) offsets
+    are formed; ``einsum`` (not BLAS, whose kernel depends on B) keeps each
+    row's value the one it gets alone. The expansion cancels digits when
+    ‖x‖ ≫ ‖x − √ᾱ·μᵢ‖, i.e. for means far from the origin against their spread
+    (1e-10 relative in ε̂ at means shifted by 100); the toy images lie near [0, 1]."""
+    d = x.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf distance -> -inf density
+        sq = (np.einsum("bj,bj->b", x, x)[:, None]
+              - 2.0 * np.sqrt(ab) * np.einsum("bj,ij->bi", x, mu)
+              + ab * np.einsum("ij,ij->i", mu, mu))
     return log_w - 0.5 * d * np.log(2 * np.pi * var) - sq / (2 * var)
 
 
@@ -123,8 +133,9 @@ def mixture_logpdf(x: np.ndarray, mix: Mixture) -> float:
     mu = mix.means.reshape(len(mix.weights), -1)
     if x.shape[0] != mu.shape[1]:
         raise ShapeMismatch(f"x has dim {x.shape[0]}, mixture has dim {mu.shape[1]}")
-    offsets = x[None, None, :] - mu
-    return float(_logsumexp(_component_logits(offsets, np.log(mix.weights), mix.variances)[0]))
+    comp = _component_logits(x[None], mu, 1.0, np.log(mix.weights), mix.variances)[0]
+    # past |x| ~ 1e306 both ‖x‖² and x·μᵢ overflow, inf − inf: a zero density
+    return float(_logsumexp(np.where(np.isnan(comp), -np.inf, comp)))
 
 
 class GmmModel:
@@ -181,9 +192,10 @@ class GmmModel:
 
 
 def gmm_eps(x: np.ndarray, t: int, y, m: GmmModel, s: NoiseSchedule) -> np.ndarray:
-    """Exact posterior-mean noise E[ε | x_t=x, y] = √(1−ᾱ)·Σᵢ rᵢ(x)·(x − √ᾱ·μᵢ)/Vᵢ
-    for one image (*event) or a batch (B, *event) under the one condition y,
-    with log-space responsibilities rᵢ; raises DegenerateMixture when every
+    """Exact posterior-mean noise E[ε | x_t=x, y] = √(1−ᾱ)·Σᵢ rᵢ(x)·(x − √ᾱ·μᵢ)/Vᵢ,
+    evaluated as √(1−ᾱ)·(x·Σᵢ rᵢ/Vᵢ − √ᾱ·Σᵢ (rᵢ/Vᵢ)·μᵢ), for one image (*event)
+    or a batch (B, *event) under the one condition y, with log-space
+    responsibilities rᵢ; raises DegenerateMixture when every
     component weight of some row underflows. Every reduction runs along one
     row's own axis, so a row's result does not depend on the other rows."""
     t = _check_step(t, s)
@@ -195,16 +207,20 @@ def gmm_eps(x: np.ndarray, t: int, y, m: GmmModel, s: NoiseSchedule) -> np.ndarr
     ab = s.alpha_bars[t]
     mu = mix.means.reshape(len(mix.weights), -1)
     var = ab * mix.variances + (1.0 - ab)
-    offsets = x.reshape(-1, mu.shape[1])[:, None, :] - np.sqrt(ab) * mu
-    comp = _component_logits(offsets, np.log(mix.weights), var)
+    rows = x.reshape(-1, mu.shape[1])
+    comp = _component_logits(rows, mu, ab, np.log(mix.weights), var)
     # One vectorized pass over the (B, m) table: _logsumexp is per row and rounds
     # differently (log1p split), so it would cost a loop and move every ε̂ by ulps.
     top = comp.max(axis=-1, keepdims=True)
     if not np.isfinite(top).all():
         raise DegenerateMixture("all mixture responsibilities underflowed")
     r = np.exp(comp - (top + np.log(np.exp(comp - top).sum(axis=-1, keepdims=True))))
-    offsets /= var[:, None]  # now the score terms (x − √ᾱ·μᵢ)/Vᵢ
-    return (np.sqrt(1.0 - ab) * np.einsum("bi,bij->bj", r, offsets)).reshape(x.shape)
+    r /= var  # now rᵢ/Vᵢ
+    # the scalars go on the (B, m) weights, so only three passes touch (B, d)
+    scale = np.sqrt(1.0 - ab)
+    eps = rows * (scale * r.sum(axis=-1, keepdims=True))
+    eps -= np.einsum("bi,ij->bj", (scale * np.sqrt(ab)) * r, mu)
+    return eps.reshape(x.shape)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,12 @@ run-origin image inside/outside the ROI mask:
 The recursions (``pie_run``, ``decay_probe_run``) take a list of seeds and
 run them as one (B, *event) batch through the engine; row b's noise comes from
 its own stream (seeds[b], stage), so a seed's results do not depend on its
-batch-mates. ``pie_run`` keeps every state, a (B, N+1, *event) table.
+batch-mates. ``pie_run``'s rows may carry their own N, β₁ and β₂ (one γ per
+batch); it keeps every state, a (B, max N + 1, *event) table.
 ``decay_probe_run`` keeps only what the decay checks read: per probe the step
 deltas, the observed C₂ and the drift ‖x_N − x₀‖, O(B) images at any stage.
-``composite_roi`` blends one image or a (B, *plane) batch against one mask.
+``composite_roi`` blends one image or a (B, *plane) batch against one mask,
+with β₁, β₂ shared or one per row.
 Every L2 norm of an image (step deltas, C₁, the observed C₂, the drift) goes
 through ``_row_norms``, which takes a batch of rows and equals a per-row
 ``np.linalg.norm`` bit for bit, so batching moves no output.
@@ -124,25 +126,33 @@ def validate_mask(mask: np.ndarray, image_shape: tuple) -> np.ndarray:
     return mask
 
 
-def _lerp(base, target, w: float) -> np.ndarray:
-    # exact copies at the endpoints so β∈{0,1} keeps pixels bit-identical
-    if w == 0.0:
-        return base.copy()
-    if w == 1.0:
-        return target.copy()
-    return (1.0 - w) * base + w * target
+def _lerp(base, target, w) -> np.ndarray:
+    # where-selects keep β∈{0,1} pixels exact copies of base / target
+    return np.where(w == 0.0, base, np.where(w == 1.0, target, (1.0 - w) * base + w * target))
 
 
-def composite_roi(x_gen, x_base, mask, beta1: float, beta2: float) -> np.ndarray:
+def _per_row(beta, x: np.ndarray, plane_ndim: int) -> np.ndarray:
+    """A blend coefficient as a scalar, or one per row of the batch x shaped
+    to broadcast against it."""
+    beta = np.asarray(beta, dtype=np.float64)
+    if beta.ndim == 0:
+        return beta
+    if x.ndim != plane_ndim + 1 or beta.shape != x.shape[:1]:
+        raise ShapeMismatch(f"blend coefficients {beta.shape} for images {x.shape}")
+    return beta.reshape(beta.shape + (1,) * plane_ndim)
+
+
+def composite_roi(x_gen, x_base, mask, beta1, beta2) -> np.ndarray:
     """ROI blend of generated result against a base image (see module formula);
-    both are one image or the same (B, *plane) batch, the mask one plane."""
+    both are one image or the same (B, *plane) batch, the mask one plane, and
+    β₁, β₂ scalars or, for a batch, one value per row."""
     x_gen = np.asarray(x_gen, dtype=np.float64)
     x_base = np.asarray(x_base, dtype=np.float64)
     if x_gen.shape != x_base.shape:
         raise ShapeMismatch(f"generated {x_gen.shape} vs base {x_base.shape}")
     m = validate_mask(mask, x_gen.shape)
-    outside = _lerp(x_base, x_gen, beta1)
-    inside = _lerp(x_base, x_gen, beta2)
+    outside = _lerp(x_base, x_gen, _per_row(beta1, x_gen, m.ndim))
+    inside = _lerp(x_base, x_gen, _per_row(beta2, x_gen, m.ndim))
     blended = (1.0 - m) * outside + m * inside
     # where-selects keep binary-mask pixels bit-identical to their source
     return np.where(m == 0.0, outside, np.where(m == 1.0, inside, blended))
@@ -161,37 +171,60 @@ def _check_seeds(seeds) -> None:
         raise InvalidArgument("need at least one seed")
 
 
+def _row_configs(cfg, n_rows: int) -> list[PieConfig]:
+    """One PieConfig per row: a single PieConfig serves every row. The rows of
+    a batch share γ, hence the step k their reverse chain starts from."""
+    cfgs = [cfg] * n_rows if isinstance(cfg, PieConfig) else list(cfg)
+    if len(cfgs) != n_rows:
+        raise ShapeMismatch(f"{len(cfgs)} configs for {n_rows} seeds")
+    gammas = sorted({c.gamma for c in cfgs})
+    if len(gammas) > 1:
+        raise InvalidArgument(f"rows of one batch must share gamma, got {gammas}")
+    return cfgs
+
+
 def _noise(shape, seeds, stage: int) -> np.ndarray:
     """(B, *shape) unit normals; row b is stream (seeds[b], stage)."""
     return np.stack([rng.normal(shape, seed, stage=stage) for seed in seeds])
 
 
-def pie_stage(x_prev, x_origin, y, cfg: PieConfig, d, m, s: NoiseSchedule, stage_index: int,
+def pie_stage(x_prev, x_origin, y, cfg, d, m, s: NoiseSchedule, stage_index: int,
               seeds) -> np.ndarray:
     """One edit stage of a seed batch x_prev (B, *event): noise row b to k from
-    stream (seeds[b], stage_index), reverse chain under y, ROI-composite."""
+    stream (seeds[b], stage_index), reverse chain under y, ROI-composite with
+    row b's β₁, β₂. cfg is one PieConfig or one per row (see pie_run)."""
+    _check_seeds(seeds)
+    cfgs = _row_configs(cfg, len(seeds))
     x_prev = np.asarray(x_prev, dtype=np.float64)
     x_origin = np.asarray(x_origin, dtype=np.float64)
     if x_prev.shape != (len(seeds),) + x_origin.shape:
         raise ShapeMismatch(f"x_prev {x_prev.shape} vs {len(seeds)} seeds of x_origin {x_origin.shape}")
-    k = stage_step_count(cfg.gamma, s)
+    k = stage_step_count(cfgs[0].gamma, s)
     x_k = forward_diffuse(x_prev, k, _noise(x_origin.shape, seeds, stage_index), s)
     x_gen = ddim_chain(x_k, k, d, y, s)
-    return composite_roi(x_gen, np.broadcast_to(x_origin, x_gen.shape), m, cfg.beta1, cfg.beta2)
+    return composite_roi(x_gen, np.broadcast_to(x_origin, x_gen.shape), m,
+                         [c.beta1 for c in cfgs], [c.beta2 for c in cfgs])
 
 
-def pie_run(x0, y_target, cfg: PieConfig, d, m, s: NoiseSchedule, seeds) -> list[Trajectory]:
-    """Run the edit recursion for cfg.N stages from x0 once per seed, all seeds
-    as one batch, conditioning every stage on y_target."""
+def pie_run(x0, y_target, cfg, d, m, s: NoiseSchedule, seeds) -> list[Trajectory]:
+    """Run the edit recursion from x0 once per seed, all seeds as one batch,
+    conditioning every stage on y_target. cfg is one PieConfig for every row,
+    or one per row: rows then carry their own N, β₁ and β₂ but share γ, and
+    row b retires after its N_b stages, so its Trajectory has N_b + 1 states."""
     _check_seeds(seeds)
+    cfgs = _row_configs(cfg, len(seeds))
     x0 = np.asarray(x0, dtype=np.float64)
-    states = np.empty((len(seeds), cfg.N + 1) + x0.shape)
+    n_stages = np.array([c.N for c in cfgs])
+    # row b's states fill only its first N_b + 1 slots; untouched pages cost no memory
+    states = np.empty((len(seeds), n_stages.max() + 1) + x0.shape)
     states[:, 0] = x0
-    for n in range(1, cfg.N + 1):
-        states[:, n] = pie_stage(states[:, n - 1], x0, y_target, cfg, d, m, s, n, seeds)
+    for n in range(1, states.shape[1]):
+        live = np.flatnonzero(n_stages >= n)
+        states[live, n] = pie_stage(states[live, n - 1], x0, y_target, [cfgs[b] for b in live],
+                                    d, m, s, n, [seeds[b] for b in live])
     # each Trajectory's states are views into the table; differencing row by
     # row keeps the temporary to one row, not a second table
-    return [Trajectory.from_states(row) for row in states]
+    return [Trajectory.from_states(row[:N + 1]) for row, N in zip(states, n_stages)]
 
 
 def step_decay_fit(deltas, burn_in: int) -> float:

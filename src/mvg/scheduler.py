@@ -113,8 +113,13 @@ def ddim_step(x_t: np.ndarray, t: int, eps_pred: np.ndarray, s: NoiseSchedule) -
     _check_same_shape(x_t, eps_pred, "x_t vs eps_pred")
     ab_t = s.alpha_bars[t]
     ab_prev = s.alpha_bars[t - 1]
-    x0_hat = (x_t - np.sqrt(1.0 - ab_t) * eps_pred) / np.sqrt(ab_t)
-    out = np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps_pred
+    # in place, bit-identical to x̂₀ = (x_t − √(1−ᾱ_t)·ε̂)/√ᾱ_t, out = √ᾱ_{t−1}·x̂₀ + …:
+    # fewer live temporaries keep a wide batch inside the heap malloc has
+    # already grown, where the two-line form had it trimmed and re-faulted every step
+    out = x_t - np.sqrt(1.0 - ab_t) * eps_pred
+    out /= np.sqrt(ab_t)  # x̂₀
+    out *= np.sqrt(ab_prev)
+    out += np.sqrt(1.0 - ab_prev) * eps_pred
     if not np.all(np.isfinite(out)):
         raise InvalidArgument("non-finite ddim_step output; check schedule and denoiser")
     return out

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import mvg
 from mvg import cli, io, rng
+from mvg import denoiser as denoiser_mod
 from mvg.cli import main
 from mvg.config import SCHEMA, RunConfig
 from mvg.denoiser import Condition
@@ -378,10 +380,34 @@ class TestAblate:
             assert inline == (tmp_path / "pooled" / name).read_bytes(), name
 
     def test_row_batches_match_one_batch(self, tmp_path, monkeypatch):
-        cfg = RunConfig.load(write_config(tmp_path, {"seeds": [0, 1, 2, 3, 4]}))
-        whole = cli._ablate_cell(cfg, {"N": 3}, cfg.seeds())
-        monkeypatch.setattr(cli, "ABLATE_BATCH_ROWS", 2)  # batches of 2, 2 and 1 seeds
-        assert cli._ablate_cell(cfg, {"N": 3}, cfg.seeds()) == whole
+        """Batches of 2 rows (mixing cells, N and β within one γ) give the
+        tables of the default batching byte for byte."""
+        path = write_config(tmp_path, {"seeds": [0, 1, 2, 3, 4]})
+        assert main(["ablate", "--config", str(path), "--out", str(tmp_path / "whole")]) == 0
+        monkeypatch.setattr(cli, "ABLATE_BATCH_ROWS", 2)
+        assert main(["ablate", "--config", str(path), "--out", str(tmp_path / "pairs")]) == 0
+        for name in ("ablate_gamma.csv", "ablate_steps.csv", "ablate_beta.csv"):
+            whole = (tmp_path / "whole" / name).read_bytes()
+            assert whole == (tmp_path / "pairs" / name).read_bytes(), name
+
+    def test_denoiser_rows_match_closed_form(self, tmp_path, monkeypatch):
+        """ablate evaluates each (cell, seed) row's stages in full: the denoiser
+        sees seeds x Σ over cells of N·⌊γT⌋ rows, no cell or prefix shared."""
+        path = write_config(tmp_path, {"seeds": [0, 1, 2]})  # T=10, N=3, gamma 0.5
+        rows = []
+        gmm_eps = denoiser_mod.gmm_eps
+
+        def counted(x, t, y, m, s):
+            rows.append(len(x))
+            return gmm_eps(x, t, y, m, s)
+
+        monkeypatch.setattr(denoiser_mod, "gmm_eps", counted)
+        assert main(["ablate", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+        T, N, gamma = 10, 3, 0.5
+        cells = ([(N, g) for g in (0.1, 0.2, 0.4, 0.6, 0.8)]
+                 + [(n, 0.5) for n in (1, 5, 10, 50, 100)]
+                 + [(N, gamma)] * 9)
+        assert sum(rows) == 3 * sum(n * math.floor(g * T) for n, g in cells)
 
 
 class TestVerifyBounds:

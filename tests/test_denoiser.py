@@ -1,12 +1,15 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from mvg import (Condition, ConditionBlend, GmmDenoiser, GmmModel, Mixture,
                  blend_conditions, build_schedule, gmm_eps)
-from mvg.denoiser import _logsumexp
+from mvg.config import RunConfig
+from mvg.denoiser import _logsumexp, mixture_logpdf
 from mvg.errors import DegenerateMixture, InvalidArgument, ShapeMismatch
 from mvg.toydata import sample
+from tests.conftest import SOFT_DOMAIN
 
 
 def direct_diffused_logpdf(x_flat, mix, ab):
@@ -128,6 +131,80 @@ class TestGmmEps:
             Mixture(np.array([1.0]), np.array([[0.0]]), np.array([1e-300])))
         with pytest.raises(DegenerateMixture):
             gmm_eps(np.array([1e160]), 50, Condition(0), model, sched50)
+
+
+ORACLE_DIGITS = 50
+# Relative error bounds, by a row's per-pixel distance from a component mean, of
+# the float64 kernel against a 50-digit evaluation of the direct form on the
+# rows of TestKernelOracle. The expanded-square kernel and the direct
+# (x − √ᾱ·μᵢ) offsets form measured alike: ε̂ at most 1.3e-14 at 0.3, 3.4e-12
+# at 10 (logits of order 1e5 meet mixed responsibilities), 1.7e-16 at 1e3 (one
+# component takes all); the log density at most 4.3e-16.
+EPS_RTOL = {0.3: 1e-13, 10.0: 3e-11, 1e3: 1e-15}
+LOGPDF_RTOL = 2e-15
+
+
+def mp_direct(x, mix, ab):
+    """ε̂ and log Σᵢ wᵢ·N(x; √ᾱ·μᵢ, VᵢI) of one flat row x at level ab, from the
+    direct formulas at ORACLE_DIGITS digits; every float input is taken as exact."""
+    with mp.workdps(ORACLE_DIGITS):
+        ab = mp.mpf(float(ab))
+        root = mp.sqrt(ab)
+        xs = [mp.mpf(float(v)) for v in x]
+        logits, scores = [], []
+        for w, mean, var in zip(mix.weights, mix.means.reshape(len(mix.weights), -1), mix.variances):
+            V = ab * mp.mpf(float(var)) + 1 - ab
+            offsets = [xj - root * mp.mpf(float(mj)) for xj, mj in zip(xs, mean)]
+            logits.append(mp.log(mp.mpf(float(w))) - len(xs) * mp.log(2 * mp.pi * V) / 2
+                          - mp.fsum(o * o for o in offsets) / (2 * V))
+            scores.append([o / V for o in offsets])
+        lse = mp.log(mp.fsum(mp.exp(l) for l in logits))
+        r = [mp.exp(l - lse) for l in logits]
+        eps = [mp.sqrt(1 - ab) * mp.fsum(ri * sc[j] for ri, sc in zip(r, scores))
+               for j in range(len(xs))]
+        return np.array([float(e) for e in eps]), float(lse)
+
+
+@pytest.fixture(scope="module", params=["default", "soft"])
+def oracle_model(request, default_model):
+    if request.param == "default":
+        return default_model  # sharp components, sigma 0.05
+    return RunConfig.from_dict({"domain": SOFT_DOMAIN}).model()  # the ablate config's, sigma 0.35
+
+
+class TestKernelOracle:
+    """The one component kernel, through gmm_eps and mixture_logpdf, against
+    mp_direct on rows 0.3, 10 and 1e3 per pixel from a component mean."""
+
+    @staticmethod
+    def row(mix, ab, dist):
+        u = np.random.default_rng(17).standard_normal(mix.dim)
+        return np.sqrt(ab) * mix.means[2].ravel() + dist * u
+
+    @pytest.mark.parametrize("dist", [0.3, 10.0, 1e3])
+    @pytest.mark.parametrize("t", [1, 25, 50])
+    def test_gmm_eps(self, oracle_model, sched50, dist, t):
+        y = Condition(1, 1.0)
+        mix = oracle_model.mixture(y)
+        ab = sched50.alpha_bars[t]
+        x = self.row(mix, ab, dist)
+        got = gmm_eps(x.reshape(mix.event_shape), t, y, oracle_model, sched50).ravel()
+        want, _ = mp_direct(x, mix, ab)
+        assert np.linalg.norm(got - want) <= EPS_RTOL[dist] * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("dist", [0.3, 10.0, 1e3])
+    def test_mixture_logpdf(self, oracle_model, dist):
+        mix = oracle_model.mixture(Condition(1, 1.0))
+        x = self.row(mix, 1.0, dist)
+        _, want = mp_direct(x, mix, 1.0)
+        assert abs(mixture_logpdf(x, mix) - want) <= LOGPDF_RTOL * abs(want)
+
+
+def test_mixture_logpdf_of_overflowing_row_is_minus_inf(default_model):
+    """Rows whose squared norm and mean products both overflow have zero density."""
+    mix = default_model.mixture(Condition(1))
+    for v in (1e160, 1e307):
+        assert mixture_logpdf(np.full(mix.event_shape, v), mix) == -np.inf
 
 
 class TestLogsumexp:

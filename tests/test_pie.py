@@ -81,6 +81,27 @@ class TestCompositeRoi:
         np.testing.assert_allclose(out[mask == 0], expect_out[mask == 0], rtol=1e-12)
 
 
+    def test_per_row_betas_equal_rows_alone(self):
+        """One β₁, β₂ per row of a batch: each row equals the row blended alone
+        with scalars, bit for bit, and β∈{0,1} rows are exact copies."""
+        g = np.random.default_rng(3)
+        base, gen = g.standard_normal((4, 5, 5)), g.standard_normal((4, 5, 5))
+        mask = g.uniform(size=(5, 5))
+        mask[:2] = 0.0
+        mask[-1] = 1.0
+        beta1, beta2 = [0.0, 0.3, 1.0, 0.01], [1.0, 0.75, 0.0, 0.5]
+        out = composite_roi(gen, base, mask, beta1, beta2)
+        for b in range(4):
+            assert np.array_equal(out[b], composite_roi(gen[b], base[b], mask, beta1[b], beta2[b]))
+        assert np.array_equal(out[0][mask == 0], base[0][mask == 0])
+        assert np.array_equal(out[0][mask == 1], gen[0][mask == 1])
+        assert np.array_equal(out[2][mask == 0], gen[2][mask == 0])
+        with pytest.raises(ShapeMismatch):  # one β per row needs a batch of that many rows
+            composite_roi(gen[0], base[0], mask, beta1[:1], 0.5)
+        with pytest.raises(ShapeMismatch):
+            composite_roi(gen, base, mask, beta1[:3], 0.5)
+
+
 class TestPieStage:
     def test_full_mask_unit_blend_equals_raw_chain(self, sched50):
         den = std_normal_denoiser((6, 6), sched50)
@@ -188,6 +209,47 @@ class TestPieRun:
             for a, b in zip(alone.states, batch[seed].states):
                 assert np.array_equal(a, b), seed
             assert np.array_equal(alone.step_deltas, batch[seed].step_deltas)
+
+    def test_rows_carry_their_own_config(self, default_model, sched50):
+        """Rows with mixed N, β₁ and β₂ (one γ) each equal the row run alone with
+        its own PieConfig, bit for bit; a row retires after its N stages, so the
+        denoiser sees Σ_b N_b·⌊γT⌋ rows."""
+        from mvg.toydata import DomainSpec, make_mask
+        mask = make_mask(DomainSpec(), "disk", {"center": (10.0, 10.0), "radius": 4.0,
+                                                "feather": 1.5})
+        x0 = np.random.default_rng(8).uniform(0, 1, (16, 16))
+        y = Condition(1, 1.0)
+        cfgs = [PieConfig(N=3, gamma=0.4, beta1=0.0, beta2=0.75),
+                PieConfig(N=6, gamma=0.4, beta1=0.2, beta2=1.0),
+                PieConfig(N=0, gamma=0.4),
+                PieConfig(N=1, gamma=0.4, beta1=0.01, beta2=0.5),
+                PieConfig(N=6, gamma=0.4, beta1=0.0, beta2=1.0)]
+        seeds = [5, 2, 9, 5, 11]
+
+        class Counting:
+            rows = 0
+
+            def predict(self, x, t, y):
+                Counting.rows += len(x)
+                return GmmDenoiser(default_model, sched50).predict(x, t, y)
+
+        batch = pie_run(x0, y, cfgs, Counting(), mask, sched50, seeds)
+        assert Counting.rows == sum(c.N for c in cfgs) * math.floor(0.4 * sched50.T)
+        den = GmmDenoiser(default_model, sched50)
+        for cfg, seed, traj in zip(cfgs, seeds, batch):
+            (alone,) = pie_run(x0, y, cfg, den, mask, sched50, [seed])
+            assert len(traj.states) == cfg.N + 1 == len(alone.states)
+            for a, b in zip(alone.states, traj.states):
+                assert np.array_equal(a, b), (cfg, seed)
+            assert np.array_equal(alone.step_deltas, traj.step_deltas)
+
+    def test_rows_with_differing_gamma_rejected(self, sched50):
+        den = std_normal_denoiser((4, 4), sched50)
+        cfgs = [PieConfig(N=2, gamma=0.4), PieConfig(N=2, gamma=0.5)]
+        with pytest.raises(InvalidArgument, match="gamma"):
+            pie_run(np.ones((4, 4)), Condition(0), cfgs, den, np.ones((4, 4)), sched50, [0, 1])
+        with pytest.raises(ShapeMismatch):  # one config per row
+            pie_run(np.ones((4, 4)), Condition(0), cfgs[:1], den, np.ones((4, 4)), sched50, [0, 1])
 
     def test_config_validation(self):
         with pytest.raises(InvalidArgument):
