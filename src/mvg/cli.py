@@ -2,9 +2,13 @@
 
 Every command takes --config PATH (JSON, schema in config.py) and is
 deterministic given the config plus seeds. MVG_LOG={error,info,debug} controls
-log verbosity. simulate's seeds and ablate's batches run in a worker pool
-under --jobs N. ablate makes every (sweep cell, seed) a row and runs the rows
-of one γ together, across cells, in pie_run batches of ABLATE_BATCH_ROWS.
+log verbosity. simulate's and ablate's pie_run batches run in a worker pool
+under --jobs N (N >= 1). simulate cuts its seeds into contiguous blocks, at
+least N of them and none over BATCH_ROWS seeds, and runs each block as one
+pie_run. ablate makes every (sweep cell, seed) a row and runs the rows of one
+γ together, across cells, in pie_run batches of BATCH_ROWS. video denoises
+all clips of a run in one generate_transition call, and its video/ frames are
+hard links to the clip frames they repeat.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ GAMMA_SWEEP = (0.1, 0.2, 0.4, 0.6, 0.8)
 STEPS_SWEEP = (1, 5, 10, 50, 100)
 BETA1_SWEEP = (0.01, 0.1, 0.2)
 BETA2_SWEEP = (1.0, 0.75, 0.5)
-# rows per ablate pie_run batch, a row being one (sweep cell, seed) of the
-# batch's γ: bounds a worker's state table at ABLATE_BATCH_ROWS x (max N + 1)
-# images however many seeds the config asks for
-ABLATE_BATCH_ROWS = 64
+# rows per pie_run batch, a row being a seed of a simulate block or one
+# (sweep cell, seed) of an ablate batch's γ: bounds a worker's state table at
+# BATCH_ROWS x (max N + 1) images however many seeds the config asks for
+BATCH_ROWS = 64
 
 
 def _setup_logging():
@@ -84,6 +88,21 @@ def _write_frames(out_dir: Path, prefix: str, frames, first: int = 0):
         io.write_pgm(out_dir / f"{prefix}_{n:03d}.pgm", frame)
 
 
+def _link_frames(out_dir: Path, prefix: str, sources: list[Path]):
+    """Make out_dir/prefix_NNN.mvgt and .pgm hard links to the frame files
+    sources[NNN] + .mvgt and .pgm. Each link is made under a temporary name and
+    renamed onto its final one, so a rerun replaces what is there and a crash
+    leaves no partial file under a final name."""
+    for n, src in enumerate(sources):
+        for suffix in (".mvgt", ".pgm"):
+            dst = out_dir / f"{prefix}_{n:03d}{suffix}"
+            tmp = out_dir / f".{dst.name}.tmp"
+            tmp.unlink(missing_ok=True)  # left by a crash
+            os.link(src.with_name(src.name + suffix), tmp)
+            os.replace(tmp, dst)
+            tmp.unlink(missing_ok=True)  # the rename does nothing when dst already links src
+
+
 def _write_run_dir(run_dir: Path, traj: Trajectory, cfg: RunConfig, seed: int):
     run_dir.mkdir(parents=True, exist_ok=True)
     model = cfg.model()
@@ -116,17 +135,32 @@ def _write_run_dir(run_dir: Path, traj: Trajectory, cfg: RunConfig, seed: int):
     return rows
 
 
-def _simulate_one(cfg: RunConfig, seed: int, out_dir: str):
-    (traj,) = pie_run(cfg.start_image(), cfg.conditions()[1], cfg.pie_config(),
-                      cfg.denoiser(), cfg.mask(), cfg.schedule(), [seed])
-    rows = _write_run_dir(Path(out_dir) / f"seed_{seed:04d}", traj, cfg, seed)
-    log.info("simulate seed=%d done (%d stages)", seed, traj.N)
-    return rows
+def _seed_blocks(seeds: list[int], jobs: int) -> list[list[int]]:
+    """seeds cut into contiguous blocks of near-equal size: at least jobs
+    blocks (fewer only when there are fewer seeds), none over BATCH_ROWS."""
+    n = min(len(seeds), max(jobs, math.ceil(len(seeds) / BATCH_ROWS)))
+    q, r = divmod(len(seeds), n)
+    ends = [b * q + min(b, r) for b in range(n + 1)]
+    return [seeds[a:z] for a, z in zip(ends, ends[1:])]
+
+
+def _simulate_block(cfg: RunConfig, seeds: list[int], out_dir: str):
+    """One pie_run over a block of seeds, then each seed's run directory; a
+    row's results do not depend on its batch-mates."""
+    trajs = pie_run(cfg.start_image(), cfg.conditions()[1], cfg.pie_config(),
+                    cfg.denoiser(), cfg.mask(), cfg.schedule(), seeds)
+    all_rows = []
+    for seed, traj in zip(seeds, trajs):
+        all_rows.append(_write_run_dir(Path(out_dir) / f"seed_{seed:04d}", traj, cfg, seed))
+        log.info("simulate seed=%d done (%d stages)", seed, traj.N)
+    return all_rows
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, seeds: list[int], jobs: int = 1) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    all_rows = _map(_simulate_one, [(cfg, seed, str(out_dir)) for seed in seeds], jobs)
+    blocks = _seed_blocks(seeds, jobs)
+    results = _map(_simulate_block, [(cfg, block, str(out_dir)) for block in blocks], jobs)
+    all_rows = [rows for block_rows in results for rows in block_rows]
 
     # seed-averaged per-stage summary plus a terminal-state set distance
     by_stage: dict[int, list] = {}
@@ -173,22 +207,29 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
         if not (run_dir / "manifest.json").exists():
             raise FileNotFoundError(f"missing trajectory: {run_dir}")
         states = _read_states(run_dir)
-        clips = []
-        for n in range(1, len(states)):
-            tag = (n, vseed, rng.CLIP)
-            skel = make_clip_skeleton(states[n - 1], states[n], K, seed, tag=tag)
-            clip = generate_transition(skel, mask, den, sched, y_target, y_target, gamma)
+        tags = [(n, vseed, rng.CLIP) for n in range(1, len(states))]
+        skels = [make_clip_skeleton(states[n - 1], states[n], K, seed, tag=tag)
+                 for n, tag in enumerate(tags, start=1)]
+        clips = generate_transition(skels, mask, den, sched, y_target, y_target, gamma)
+        clip_dirs = []
+        for n, (clip, tag) in enumerate(zip(clips, tags), start=1):
             clip_dir = run_dir / f"clip_{n:03d}"
             clip_dir.mkdir(exist_ok=True)
             _write_frames(clip_dir, "frame", clip.frames)
             io.write_json(clip_dir / "manifest.json",
                           {"K": clip.K, "seed": seed, "tag": list(tag),
                            "start_state": n - 1, "end_state": n})
-            clips.append(clip)
+            clip_dirs.append(clip_dir)
         video_clip = concat_clips(clips)
+        # the video is the first clip's frames, then each later clip's past its
+        # seam frame, which concat_clips has checked equals the one before it
+        sources = [clip_dir / f"frame_{j:03d}" for c, clip_dir in enumerate(clip_dirs)
+                   for j in range(0 if c == 0 else 1, K)]
+        if len(sources) != video_clip.K:
+            raise AssertionError(f"{len(sources)} frame files for {video_clip.K} video frames")
         video_dir = run_dir / "video"
         video_dir.mkdir(exist_ok=True)
-        _write_frames(video_dir, "frame", video_clip.frames)
+        _link_frames(video_dir, "frame", sources)
         io.write_json(video_dir / "manifest.json", {
             "frames": video_clip.K,
             "clips": len(clips),
@@ -229,7 +270,7 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, seeds: list[int], jobs: int = 1) -
     for gamma in dict.fromkeys(pc.gamma for pc in pcs):
         group = sorted(((c, i) for c, pc in enumerate(pcs) if pc.gamma == gamma
                         for i in range(len(seeds))), key=lambda row: -pcs[row[0]].N)
-        batches += [group[j:j + ABLATE_BATCH_ROWS] for j in range(0, len(group), ABLATE_BATCH_ROWS)]
+        batches += [group[j:j + BATCH_ROWS] for j in range(0, len(group), BATCH_ROWS)]
     results = _map(_ablate_batch, [(cfg, [(pcs[c], seeds[i]) for c, i in batch])
                                    for batch in batches], jobs)
     by_row = {row: out for batch, outs in zip(batches, results) for row, out in zip(batch, outs)}
@@ -332,6 +373,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise InvalidArgument(f"--jobs must be >= 1, got {args.jobs}")
         cfg = RunConfig.load(args.config)
         out_dir = Path(args.out) if args.out else cfg.out_dir()
         if args.command == "verify-bounds":

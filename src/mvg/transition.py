@@ -2,10 +2,11 @@
 
 A clip skeleton is [x_start, ε, …, ε, x_end]. Each middle frame is denoised
 from step k=⌊γT⌋ down to 1 under the condition interpolated by its frame
-position, then composited against the endpoint average outside the ROI. The
-middle frames that share a condition (all of them when the endpoints do) run
-as one (B, *event) batch; each frame's result is the one it gets alone. The
-endpoint frames are the skeleton's, unchanged.
+position, then composited against the endpoint average outside the ROI. One
+``generate_transition`` call takes a run's skeletons together: the middle
+frames of every clip that share a condition (all of them when every clip's
+endpoints do) run as one (B, *event) batch, and each frame's result is the
+one it gets alone. The endpoint frames are the skeleton's, unchanged.
 """
 
 from __future__ import annotations
@@ -55,22 +56,45 @@ def make_clip_skeleton(x_start, x_end, K: int, seed: int, tag: tuple = ()) -> Vi
     return VideoClip(frames=frames)
 
 
-def generate_transition(skel: VideoClip, m, d, s: NoiseSchedule, y_start, y_end,
-                        gamma: float) -> VideoClip:
-    """Denoise the skeleton's middle frames into a coherent transition clip."""
-    k = stage_step_count(gamma, s)
-    K = skel.K
-    x_start, x_end = skel.frames[0], skel.frames[K - 1]
-    mask = validate_mask(m, x_start.shape)
+def _per_clip(y, n: int, what: str) -> list:
+    """One condition per clip: a single condition serves every clip."""
+    ys = list(y) if isinstance(y, (list, tuple)) else [y] * n
+    if len(ys) != n:
+        raise ShapeMismatch(f"{len(ys)} {what} conditions for {n} clips")
+    return ys
 
-    frames = skel.frames.copy()
-    avg = 0.5 * (x_start + x_end)
-    ys = {j: blend_conditions(y_start, y_end, j / (K - 1)) for j in range(1, K - 1)}
-    for y in dict.fromkeys(ys.values()):
-        rows = [j for j, y_j in ys.items() if y_j == y]
-        gen = ddim_chain(frames[rows], k, d, y, s)
-        frames[rows] = composite_roi(gen, np.broadcast_to(avg, gen.shape), mask, 0.0, 1.0)
-    return VideoClip(frames=frames)
+
+def generate_transition(skels, m, d, s: NoiseSchedule, y_start, y_end,
+                        gamma: float) -> list[VideoClip]:
+    """Denoise the middle frames of each skeleton into a coherent transition
+    clip. skels is a list of VideoClips or an (n, K, *event) stack, all of one
+    K and frame shape; y_start and y_end are one condition for every clip or a
+    list of one per clip."""
+    k = stage_step_count(gamma, s)
+    if len(skels) == 0:
+        raise InvalidArgument("need at least one skeleton")
+    stack = [np.asarray(getattr(skel, "frames", skel), dtype=np.float64) for skel in skels]
+    shapes = {f.shape for f in stack}
+    if len(shapes) != 1:
+        raise ShapeMismatch(f"skeletons disagree on K or frame shape: {sorted(map(str, shapes))}")
+    frames = np.stack(stack)  # a copy: the skeletons stay as they were
+    n, K = frames.shape[:2]
+    mask = validate_mask(m, frames.shape[2:])
+
+    avg = 0.5 * (frames[:, 0] + frames[:, K - 1])
+    groups: dict = {}  # condition -> the (clip, frame) pairs denoised under it
+    ends = zip(_per_clip(y_start, n, "start"), _per_clip(y_end, n, "end"))
+    for c, (a, b) in enumerate(ends):
+        for j in range(1, K - 1):
+            groups.setdefault(blend_conditions(a, b, j / (K - 1)), []).append((c, j))
+    for y, pairs in groups.items():
+        cs, js = map(list, zip(*pairs))
+        frames[cs, js] = ddim_chain(frames[cs, js], k, d, y, s)
+    # clip by clip, so no (rows, *event) copy of the averages joins the batch
+    for clip, clip_avg in zip(frames, avg):
+        mid = clip[1:K - 1]
+        mid[...] = composite_roi(mid, np.broadcast_to(clip_avg, mid.shape), mask, 0.0, 1.0)
+    return [VideoClip(frames=f) for f in frames]
 
 
 def concat_clips(clips: list[VideoClip]) -> VideoClip:

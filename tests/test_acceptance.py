@@ -178,7 +178,7 @@ def test_c08_transition_contracts():
         x_start = sample(model, ya, 1, seed=400 + case)[0]
         x_end = sample(model, yb, 1, seed=500 + case)[0]
         skel = make_clip_skeleton(x_start, x_end, 8, seed=case)
-        clip = generate_transition(skel, mask, den, sched, ya, yb, 0.6)
+        (clip,) = generate_transition([skel], mask, den, sched, ya, yb, 0.6)
         endpoint_bad += not (np.array_equal(clip.frames[0], x_start)
                              and np.array_equal(clip.frames[-1], x_end))
         avg = 0.5 * (x_start + x_end)

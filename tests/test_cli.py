@@ -221,6 +221,15 @@ class TestFlags:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "kid")]) == 1
         assert not list(tmp_path.glob("kid/seed_*"))
 
+    @pytest.mark.parametrize("command", ["simulate", "ablate"])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, command, jobs):
+        path = write_config(tmp_path)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                     f"--jobs={jobs}"]) == 1
+        assert "error: --jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_flags_only_where_read(self, tmp_path):
         path = write_config(tmp_path)
         for argv in (["video", "--jobs", "2"], ["verify-bounds", "--seeds", "0"]):
@@ -274,6 +283,33 @@ class TestSimulate:
             for f in sorted(seed_dir.glob("*.mvgt")):
                 twin = tmp_path / "pooled" / seed_dir.name / f.name
                 assert f.read_bytes() == twin.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_seed_blocks_equal_one_seed_runs(self, tmp_path, jobs):
+        """3 seeds as one block (--jobs 1) or as blocks of 2 and 1 (--jobs 2)
+        write run directories byte-identical (tolerance 0) to 1-seed runs."""
+        path = write_config(tmp_path, {"seeds": [0, 1, 2]})
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "blocks"),
+                     "--jobs", jobs]) == 0
+        for seed in (0, 1, 2):
+            alone = tmp_path / f"alone{seed}"
+            assert main(["simulate", "--config", str(path), "--out", str(alone),
+                         "--seeds", str(seed)]) == 0
+            run = alone / f"seed_{seed:04d}"
+            files = sorted(p.relative_to(run) for p in run.rglob("*"))
+            twin = tmp_path / "blocks" / run.name
+            assert files == sorted(p.relative_to(twin) for p in twin.rglob("*"))
+            for f in files:
+                assert (run / f).read_bytes() == (twin / f).read_bytes(), (seed, f)
+
+    def test_seed_blocks_cover_seeds_in_order(self, monkeypatch):
+        monkeypatch.setattr(cli, "BATCH_ROWS", 2)
+        seeds = list(range(7))
+        for jobs, sizes in ((1, [2, 2, 2, 1]), (2, [2, 2, 2, 1]), (5, [2, 2, 1, 1, 1]),
+                            (9, [1] * 7)):
+            blocks = cli._seed_blocks(seeds, jobs)
+            assert [len(b) for b in blocks] == sizes, jobs
+            assert [s for b in blocks for s in b] == seeds
 
     def test_reference_states_fill_mae(self, tmp_path):
         ref_dir = tmp_path / "refs"
@@ -341,6 +377,67 @@ class TestVideo:
         for (_, run0), (_, run1) in zip(skeletons[:N], skeletons[N:]):
             assert not np.any(run0 == run1)
 
+    def test_video_frames_link_clip_frames(self, tmp_path):
+        """Each video/ frame file is the clip frame file it repeats: the first
+        clip's frames, then each later clip's past its seam frame."""
+        K = 4
+        path = write_config(tmp_path, {"seeds": [0], "video": {"K": K, "gamma": 0.5, "seed": 0}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["video", "--config", str(path), "--out", str(out)]) == 0
+        run = out / "seed_0000"
+        N = SMALL_CONFIG["pie"]["N"]
+        sources = [(1, 0)] + [(c, j) for c in range(1, N + 1) for j in range(1, K)]
+        for suffix in ("mvgt", "pgm"):
+            frames = sorted((run / "video").glob(f"frame_*.{suffix}"))
+            assert len(frames) == len(sources)
+            for frame, (c, j) in zip(frames, sources):
+                assert os.path.samefile(frame, run / f"clip_{c:03d}" / f"frame_{j:03d}.{suffix}")
+
+    def test_rerun_into_same_out(self, tmp_path):
+        """video twice into one out directory exits 0 both times and leaves the
+        same bytes and no temporary name, also over video/ frames that are
+        copies rather than links."""
+        path = write_config(tmp_path, {"seeds": [0, 1], "video": {"K": 4, "gamma": 0.5, "seed": 0}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+
+        def snapshot():
+            return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+        assert main(["video", "--config", str(path), "--out", str(out)]) == 0
+        first = snapshot()
+        copied = sorted(out.glob("seed_0001/video/frame_*"))
+        for frame in copied:
+            data = frame.read_bytes()
+            frame.unlink()
+            frame.write_bytes(data)
+        assert main(["video", "--config", str(path), "--out", str(out)]) == 0
+        assert snapshot() == first
+        assert not [p for p in out.rglob("*") if p.name.startswith(".") or "tmp" in p.name]
+        for frame in copied:
+            assert frame.stat().st_nlink == 2
+
+    def test_denoiser_calls_match_closed_form(self, tmp_path, monkeypatch):
+        """video batches each run's clips: per seed ⌊γT⌋ gmm_eps calls, each on
+        the N·(K−2) middle frames of the run."""
+        seeds, T, N, K, gamma = [0, 1, 2], 10, 3, 5, 0.5
+        path = write_config(tmp_path, {"seeds": seeds, "video": {"K": K, "gamma": gamma, "seed": 0}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        rows = []
+        gmm_eps = denoiser_mod.gmm_eps
+
+        def counted(x, t, y, m, s):
+            rows.append(len(x))
+            return gmm_eps(x, t, y, m, s)
+
+        monkeypatch.setattr(denoiser_mod, "gmm_eps", counted)
+        assert main(["video", "--config", str(path), "--out", str(out)]) == 0
+        k = math.floor(gamma * T)
+        assert len(rows) == len(seeds) * k
+        assert sum(rows) == len(seeds) * N * (K - 2) * k
+
     def test_missing_trajectory_fails(self, tmp_path):
         path = write_config(tmp_path, {"seeds": [0]})
         assert main(["video", "--config", str(path), "--out", str(tmp_path / "nowhere")]) == 1
@@ -384,7 +481,7 @@ class TestAblate:
         tables of the default batching byte for byte."""
         path = write_config(tmp_path, {"seeds": [0, 1, 2, 3, 4]})
         assert main(["ablate", "--config", str(path), "--out", str(tmp_path / "whole")]) == 0
-        monkeypatch.setattr(cli, "ABLATE_BATCH_ROWS", 2)
+        monkeypatch.setattr(cli, "BATCH_ROWS", 2)
         assert main(["ablate", "--config", str(path), "--out", str(tmp_path / "pairs")]) == 0
         for name in ("ablate_gamma.csv", "ablate_steps.csv", "ablate_beta.csv"):
             whole = (tmp_path / "whole" / name).read_bytes()

@@ -66,7 +66,7 @@ class TestGenerateTransition:
         mask = np.zeros(u.shape)
         mask[4:12, 4:12] = 1.0
         skel = make_clip_skeleton(x_start, x_end, 6, seed=3)
-        clip = generate_transition(skel, mask, den, sched50, Condition(0), Condition(0), 0.6)
+        (clip,) = generate_transition([skel], mask, den, sched50, Condition(0), Condition(0), 0.6)
         assert np.array_equal(clip.frames[0], x_start)
         assert np.array_equal(clip.frames[-1], x_end)
         avg = 0.5 * (x_start + x_end)
@@ -80,7 +80,7 @@ class TestGenerateTransition:
         devs = []
         for seed in range(50):
             skel = make_clip_skeleton(u, u, 8, seed=seed)
-            clip = generate_transition(skel, mask, den, sched50, Condition(0), Condition(0), 0.6)
+            (clip,) = generate_transition([skel], mask, den, sched50, Condition(0), Condition(0), 0.6)
             for j in range(1, 7):
                 devs.append(np.sqrt(np.mean((clip.frames[j] - u) ** 2)))
         assert np.mean(devs) <= 2 * SIGMA_GEN_RMS
@@ -88,15 +88,15 @@ class TestGenerateTransition:
     def test_deterministic_under_seed(self, sched50):
         u, den = fixed_point_setup(sched50)
         skel = make_clip_skeleton(u, u + 0.1, 5, seed=21)
-        c1 = generate_transition(skel, np.ones(u.shape), den, sched50, Condition(0), Condition(0), 0.5)
-        c2 = generate_transition(skel, np.ones(u.shape), den, sched50, Condition(0), Condition(0), 0.5)
+        (c1,) = generate_transition([skel], np.ones(u.shape), den, sched50, Condition(0), Condition(0), 0.5)
+        (c2,) = generate_transition([skel], np.ones(u.shape), den, sched50, Condition(0), Condition(0), 0.5)
         assert np.array_equal(c1.frames, c2.frames)
 
     def test_invalid_gamma(self, sched50):
         u, den = fixed_point_setup(sched50)
         skel = make_clip_skeleton(u, u, 4, seed=0)
         with pytest.raises(InvalidArgument):
-            generate_transition(skel, np.ones(u.shape), den, sched50,
+            generate_transition([skel], np.ones(u.shape), den, sched50,
                                 Condition(0), Condition(0), gamma=0.001)
 
     def test_middle_frames_are_independent_chains(self):
@@ -115,7 +115,7 @@ class TestGenerateTransition:
             x_start = sample(model, y_start, 1, seed=31)[0]
             x_end = sample(model, y_end, 1, seed=32)[0]
             skel = make_clip_skeleton(x_start, x_end, K, seed=4)
-            clip = generate_transition(skel, mask, den, sched, y_start, y_end, gamma)
+            (clip,) = generate_transition([skel], mask, den, sched, y_start, y_end, gamma)
             avg = 0.5 * (x_start + x_end)
             assert np.array_equal(clip.frames[0], x_start)
             assert np.array_equal(clip.frames[-1], x_end)
@@ -140,11 +140,70 @@ class TestGenerateTransition:
             x_start = sample(model, ya, 1, seed=100 + case)[0]
             x_end = sample(model, yb, 1, seed=200 + case)[0]
             skel = make_clip_skeleton(x_start, x_end, 8, seed=case)
-            clip = generate_transition(skel, mask, den, sched, ya, yb, 0.6)
+            (clip,) = generate_transition([skel], mask, den, sched, ya, yb, 0.6)
             span = np.linalg.norm(x_end - x_start)
             for j in range(1, clip.K - 2):
                 step = np.linalg.norm(clip.frames[j + 1] - clip.frames[j])
                 assert step <= span + 3 * SIGMA_GEN_L2
+
+
+    @pytest.mark.parametrize("K", [2, 4, 8])
+    @pytest.mark.parametrize("distinct_ends", [False, True])
+    def test_run_of_skeletons_equals_each_alone(self, K, distinct_ends):
+        """One call over a run's N skeletons gives each clip exactly (tolerance
+        0) the frames that skeleton gets alone, and runs every middle frame of
+        one condition in one chain. With distinct_ends, clips 0 and 2 share
+        their blends and the others differ, so batches mix clips of a shared
+        condition and split off the rest. At K=2 no denoiser is called."""
+        cfg = RunConfig.from_dict({"domain": SOFT_DOMAIN, "mask": SOFT_MASK})
+        model, sched, mask = cfg.model(), cfg.schedule(), cfg.mask()
+        gamma, N = 0.6, 4
+        k = int(gamma * sched.T)
+
+        class Counting:
+            calls = rows = 0
+
+            def predict(self, x, t, y):
+                Counting.calls += 1
+                Counting.rows += len(x)
+                return GmmDenoiser(model, sched).predict(x, t, y)
+
+        states = sample(model, Condition(1, 0.9), N + 1, seed=41)
+        skels = [make_clip_skeleton(states[n - 1], states[n], K, seed=7, tag=(n,))
+                 for n in range(1, N + 1)]
+        if distinct_ends:
+            y_start = [Condition(0, 0.2), Condition(1, 0.9), Condition(0, 0.2), Condition(0, 0.5)]
+            y_end = [Condition(1, 0.9), Condition(1, 0.9), Condition(1, 0.9), Condition(1, 0.1)]
+            # clips 0 and 2 share K-2 blends, clip 1 has one condition, clip 3 K-2 blends
+            chains = 2 * (K - 2) + (K > 2)
+        else:
+            y_start = y_end = Condition(1, 0.9)
+            chains = 1 if K > 2 else 0
+        clips = generate_transition(skels, mask, Counting(), sched, y_start, y_end, gamma)
+        assert Counting.calls == chains * k
+        assert Counting.rows == N * (K - 2) * k
+        ys = list(zip(y_start, y_end)) if distinct_ends else [(y_start, y_end)] * N
+        den = GmmDenoiser(model, sched)
+        for skel, (a, b), clip in zip(skels, ys, clips):
+            (alone,) = generate_transition([skel], mask, den, sched, a, b, gamma)
+            assert np.array_equal(clip.frames, alone.frames)
+        stack = np.stack([skel.frames for skel in skels])
+        from_stack = generate_transition(stack, mask, den, sched, y_start, y_end, gamma)
+        for clip, twin in zip(clips, from_stack):
+            assert np.array_equal(clip.frames, twin.frames)
+
+    def test_skeletons_must_agree(self, sched50):
+        u, den = fixed_point_setup(sched50)
+        mask = np.ones(u.shape)
+        y = Condition(0)
+        with pytest.raises(InvalidArgument):
+            generate_transition([], mask, den, sched50, y, y, 0.6)
+        with pytest.raises(ShapeMismatch):
+            generate_transition([make_clip_skeleton(u, u, 4, seed=0),
+                                 make_clip_skeleton(u, u, 5, seed=0)], mask, den, sched50, y, y, 0.6)
+        with pytest.raises(ShapeMismatch):  # one condition per clip
+            generate_transition([make_clip_skeleton(u, u, 4, seed=0)] * 2, mask, den, sched50,
+                                [y], y, 0.6)
 
 
 class TestConcat:
