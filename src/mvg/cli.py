@@ -1,6 +1,6 @@
 """Command-line surface: simulate | video | ablate | verify-bounds | metrics.
 
-Every command takes --config PATH (JSON, schema in config.py) and is
+Every command takes --config PATH (JSON, checked in full when loaded) and is
 deterministic given the config plus seeds. MVG_LOG={error,info,debug} controls
 log verbosity. simulate's and ablate's pie_run batches run in a worker pool
 under --jobs N (N >= 1). simulate cuts its seeds into contiguous blocks, at
@@ -29,7 +29,6 @@ from .config import RunConfig
 from .denoiser import Condition, GmmDenoiser, GmmModel, Mixture
 from .errors import InvalidArgument
 from .pie import Trajectory, check_bound_suite, diff_heatmap, pie_run, run_bound_suite
-from .scheduler import build_schedule
 from .transition import concat_clips, generate_transition, make_clip_skeleton
 
 log = logging.getLogger("mvg")
@@ -95,12 +94,8 @@ def _link_frames(out_dir: Path, prefix: str, sources: list[Path]):
     leaves no partial file under a final name."""
     for n, src in enumerate(sources):
         for suffix in (".mvgt", ".pgm"):
-            dst = out_dir / f"{prefix}_{n:03d}{suffix}"
-            tmp = out_dir / f".{dst.name}.tmp"
-            tmp.unlink(missing_ok=True)  # left by a crash
-            os.link(src.with_name(src.name + suffix), tmp)
-            os.replace(tmp, dst)
-            tmp.unlink(missing_ok=True)  # the rename does nothing when dst already links src
+            with io.replacing(out_dir / f"{prefix}_{n:03d}{suffix}") as tmp:
+                os.link(src.with_name(src.name + suffix), tmp)
 
 
 def _write_run_dir(run_dir: Path, traj: Trajectory, cfg: RunConfig, seed: int):
@@ -304,7 +299,7 @@ def verify_model(shape) -> GmmModel:
 
 def cmd_verify_bounds(cfg: RunConfig, out_dir: Path) -> int:
     v = cfg.raw["verify"]
-    sched = build_schedule(**v["schedule"])
+    sched = cfg.verify_schedule()
     shape = cfg.domain().shape
     model = verify_model(shape)
     den = GmmDenoiser(model, sched)

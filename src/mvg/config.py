@@ -1,13 +1,18 @@
-"""Run configuration: JSON schema, validation, and object construction."""
+"""Run configuration: defaults, load-time checks, and object construction.
+
+Loading checks a config's keys and JSON types against _CONFIG, then builds
+every object a command reads, so each range check lives in the constructor
+that owns it and every config error surfaces before any output is written.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import io, rng, toydata
@@ -18,28 +23,47 @@ from .pie import PieConfig
 from .scheduler import build_schedule
 from .toydata import DomainSpec
 
-_CONDITION = {
-    "type": "object",
-    "properties": {
-        "class_id": {"type": "integer"},
-        "severity": {"type": "number", "minimum": 0, "maximum": 1},
-    },
-    "required": ["class_id"],
-    "additionalProperties": False,
-}
 
-# rng streams take non-negative entropy only; checked at load, before any run
-_SEED = {"type": "integer", "minimum": 0}
+# JSON types by name. A bool is a Python int but no JSON integer or number,
+# and an integral float such as 3.0 is not an integer here.
+_TYPES = {"integer": int, "number": (int, float), "number|null": (int, float, type(None)),
+          "string": str, "object": dict, "array": list}
+_POSITIVE = math.ulp(0.0)  # the least float above 0: a minimum of it excludes 0 only
 
-_SCHEDULE = {
-    "type": "object",
-    "properties": {
-        "T": {"type": "integer", "minimum": 1},
-        "beta_start": {"type": ["number", "null"]},
-        "beta_end": {"type": ["number", "null"]},
-    },
-    "additionalProperties": False,
-}
+
+def _fail(where: list, message: str):
+    raise InvalidArgument(f"config invalid at {where}: {message}")
+
+
+def _check(value, spec, where: list):
+    """Check value against spec: a dict for an object that holds only its keys,
+    each value checked against its key's spec; [spec] for an array of such
+    items; a set of the strings allowed; a function that checks; or a type name
+    of _TYPES, alone or as (name, minimum, maximum) with None for no bound."""
+    if isinstance(spec, dict):
+        _check(value, "object", where)
+        for key, item in value.items():
+            if key not in spec:
+                _fail(where, f"unknown key {key!r}")
+            _check(item, spec[key], where + [key])
+    elif isinstance(spec, list):
+        _check(value, "array", where)
+        for i, item in enumerate(value):
+            _check(item, spec[0], where + [i])
+    elif isinstance(spec, set):
+        if not (isinstance(value, str) and value in spec):
+            _fail(where, f"{value!r} is not one of {sorted(spec)}")
+    elif callable(spec):
+        spec(value, where)
+    else:
+        name, minimum, maximum = (spec, None, None) if isinstance(spec, str) else spec
+        if isinstance(value, bool) or not isinstance(value, _TYPES[name]):
+            _fail(where, f"{value!r} is not of type {name!r}")
+        if minimum is not None and value < minimum:
+            _fail(where, f"{value!r} is less than the minimum of {minimum}")
+        if maximum is not None and value > maximum:
+            _fail(where, f"{value!r} is greater than the maximum of {maximum}")
+
 
 # mask.params keys make_mask reads per kind; full, empty and file read none and
 # accept either set, so a config can switch its kind and keep its old params.
@@ -47,101 +71,56 @@ _SCHEDULE = {
 _MASK_PARAMS = {"disk": ["center", "radius", "feather"], "rect": ["y0", "x0", "y1", "x1"]}
 _DEFAULT_MASK_KIND = "disk"
 
-SCHEMA = {
-    "type": "object",
-    "properties": {
-        "domain": {"type": "object"},
-        "schedule": _SCHEDULE,
-        "pie": {
-            "type": "object",
-            "properties": {
-                "N": {"type": "integer", "minimum": 0},
-                "gamma": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "beta1": {"type": "number", "minimum": 0, "maximum": 1},
-                "beta2": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "mask": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["disk", "rect", "full", "empty", "file"]},
-                "params": {"type": "object",
-                           "propertyNames": {"enum": sum(_MASK_PARAMS.values(), [])}},
-                "path": {"type": "string"},
-            },
-            "additionalProperties": False,
-            "allOf": [{"if": {"properties": {"kind": {"const": kind}},
-                              "required": [] if kind == _DEFAULT_MASK_KIND else ["kind"]},
-                       "then": {"properties": {"params": {"propertyNames": {"enum": keys}}}}}
-                      for kind, keys in _MASK_PARAMS.items()],
-        },
-        "condition": {
-            "type": "object",
-            "properties": {"source": _CONDITION, "target": _CONDITION},
-            "additionalProperties": False,
-        },
-        "start": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["mean", "sample"]},
-                "seed": _SEED,
-            },
-            "additionalProperties": False,
-        },
-        "embedder": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["identity", "random_projection"]},
-                "out_dim": {"type": "integer", "minimum": 1},
-                "seed": _SEED,
-            },
-            "additionalProperties": False,
-        },
-        "reference_states": {"type": "array", "items": {"type": "string"}},
-        "kid_reference": {
-            "type": "object",
-            "properties": {"count": {"type": "integer", "minimum": 2}, "seed": _SEED},
-            "additionalProperties": False,
-        },
-        "video": {
-            "type": "object",
-            "properties": {
-                "K": {"type": "integer", "minimum": 2},
-                "gamma": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "seed": _SEED,
-            },
-            "additionalProperties": False,
-        },
-        "verify": {
-            "type": "object",
-            "properties": {
-                "stages": {"type": "integer", "minimum": 15},
-                "seeds": {"type": "integer", "minimum": 1},
-                "delta": {"type": "number", "exclusiveMinimum": 0},
-                "x0_scale": {"type": "number"},
-                "burn_in": {"type": "integer", "minimum": 0},
-                "schedule": _SCHEDULE,
-            },
-            "additionalProperties": False,
-        },
-        "out_dir": {"type": "string"},
-        "seeds": {
-            "oneOf": [
-                {"type": "array", "items": _SEED, "minItems": 1, "uniqueItems": True},
-                {
-                    "type": "object",
-                    "properties": {
-                        "count": {"type": "integer", "minimum": 1},
-                        "start": _SEED,
-                    },
-                    "required": ["count"],
-                    "additionalProperties": False,
-                },
-            ]
-        },
-    },
-    "additionalProperties": False,
+
+def _mask(value, where):
+    _check(value, {"kind": "string", "params": "object", "path": "string"}, where)
+    kind = value.get("kind", _DEFAULT_MASK_KIND)
+    keys = _MASK_PARAMS.get(kind, sum(_MASK_PARAMS.values(), []))
+    for key in value.get("params", {}):
+        if key not in keys:
+            _fail(where + ["params"], f"unknown key {key!r} for a {kind} mask")
+
+
+def _condition(value, where):
+    _check(value, {"class_id": "integer", "severity": ("number", 0, 1)}, where)
+    if "class_id" not in value:  # checked before DEFAULTS can fill it in
+        _fail(where, "'class_id' is a required property")
+
+
+_SEED = ("integer", 0, None)  # rng streams take non-negative entropy only
+
+
+def _seeds(value, where):
+    if isinstance(value, list):
+        _check(value, [_SEED], where)
+        if not value or len(set(value)) != len(value):
+            _fail(where, f"{value!r} is not a non-empty list of distinct seeds")
+    else:
+        _check(value, {"count": ("integer", 1, None), "start": _SEED}, where)
+        if "count" not in value:
+            _fail(where, "'count' is a required property")
+
+
+# Every key a config may hold, at every depth, with the JSON type of its value
+# and the bounds and enums that no constructor checks; the constructors
+# RunConfig.from_dict calls at load check the rest.
+_SCHEDULE = {"T": "integer", "beta_start": "number|null", "beta_end": "number|null"}
+_CONFIG = {
+    "domain": "object",
+    "schedule": _SCHEDULE,
+    "pie": {"N": "integer", "gamma": "number", "beta1": "number", "beta2": "number"},
+    "mask": _mask,
+    "condition": {"source": _condition, "target": _condition},
+    "start": {"kind": {"mean", "sample"}, "seed": _SEED},
+    "embedder": {"kind": "string", "out_dim": ("integer", 1, None), "seed": _SEED},
+    "reference_states": ["string"],
+    "kid_reference": {"count": ("integer", 2, None), "seed": _SEED},
+    "video": {"K": ("integer", 2, None), "gamma": ("number", _POSITIVE, 1), "seed": _SEED},
+    "verify": {"stages": ("integer", 15, None), "seeds": ("integer", 1, None),
+               "delta": ("number", _POSITIVE, None), "x0_scale": "number",
+               "burn_in": ("integer", 0, None), "schedule": _SCHEDULE},
+    "out_dir": "string",
+    "seeds": _seeds,
 }
 
 # merged into every config at every depth; the constructors a section feeds
@@ -159,9 +138,6 @@ DEFAULTS = {
     "out_dir": "runs/out",
     "seeds": [0, 1, 2, 3, 4],
 }
-
-# SCHEMA is constant: the tests check it against the metaschema, not every load
-_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
 
 def _merged(raw: dict, defaults: dict = DEFAULTS) -> dict:
@@ -190,16 +166,25 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir=".") -> "RunConfig":
-        err = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-        if err is not None:
-            raise InvalidArgument(f"config invalid at {list(err.absolute_path)}: {err.message}")
+        """Check raw and build every object a command reads from it, so that a
+        bad config fails here, before any run, and with InvalidArgument."""
+        _check(raw, _CONFIG, [])
         cfg = cls(raw=_merged(raw), base_dir=Path(base_dir))
-        cfg.domain()  # rejects unknown domain and class keys
         v = cfg.raw["verify"]
         if v["stages"] - v["burn_in"] < 10:  # the decay-slope fit needs 10 stages
             raise InvalidArgument(f"verify needs stages - burn_in >= 10, got "
                                   f"{v['stages']} - {v['burn_in']}")
         cfg._check_files()
+        try:
+            cfg.seeds(), cfg.pie_config(), cfg.embedder(), cfg.schedule(), cfg.verify_schedule()
+            model = cfg.model()
+            for y in cfg.conditions():
+                model.mixture(y)
+            if cfg.raw["mask"]["kind"] != "file":  # read when a command runs
+                cfg.mask()
+        except (TypeError, ValueError, IndexError, OverflowError) as err:
+            # a value of a type or size that a constructor cannot take
+            raise InvalidArgument(f"config invalid: {err}") from err
         return cfg
 
     def _check_files(self):
@@ -222,6 +207,9 @@ class RunConfig:
 
     def schedule(self):
         return build_schedule(**self.raw["schedule"])
+
+    def verify_schedule(self):
+        return build_schedule(**self.raw["verify"]["schedule"])
 
     def model(self):
         return toydata.build_domain(self.domain())

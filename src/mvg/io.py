@@ -2,13 +2,18 @@
 
 Tensor container layout (little-endian): magic ``MVGT``, u32 ndim, ndim×u32
 dims, then dims-product float32 values in row-major order, and nothing after them.
+
+Every writer renames a temporary file onto its target (replacing), so a failed
+write leaves the old file or none, and never changes a file linked elsewhere.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +23,22 @@ from .errors import InvalidArgument
 MAGIC = b"MVGT"
 
 
+@contextmanager
+def replacing(path):
+    """A temporary name beside path, one per process, that is renamed onto path
+    when the block completes and removed when it raises."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    tmp.unlink(missing_ok=True)  # left by a killed process of the same pid
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # the rename leaves it when path already links it
+
+
 def write_tensor(path, arr) -> None:
     arr = np.asarray(arr, dtype=np.float32)
-    with open(path, "wb") as f:
+    with replacing(path) as tmp, open(tmp, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", arr.ndim))
         f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
@@ -60,20 +78,21 @@ def write_pgm(path, arr) -> None:
         raise InvalidArgument(f"PGM export needs a 2-D image, got shape {arr.shape}")
     h, w = arr.shape
     pixels = np.round(np.clip(arr, 0.0, 1.0) * 255).astype(np.uint8)
-    with open(path, "wb") as f:
+    with replacing(path) as tmp, open(tmp, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(pixels.tobytes())
 
 
 def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as f:
+    with replacing(path) as tmp, open(tmp, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with replacing(path) as tmp, open(tmp, "w") as f:
+        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path) -> dict:

@@ -70,12 +70,9 @@ class DomainSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "DomainSpec":
         """Build from config keys; absent keys keep the dataclass defaults."""
-        try:
-            if "classes" in d:
-                d = {**d, "classes": [ClassSpec(**c) for c in d["classes"]]}
-            return cls(**d)
-        except TypeError as err:
-            raise InvalidArgument(f"domain: {err}") from err
+        if "classes" in d:
+            d = {**d, "classes": [ClassSpec(**c) for c in d["classes"]]}
+        return cls(**d)
 
 
 def _disk_profile(shape, center, radius, feather):
