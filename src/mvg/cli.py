@@ -28,7 +28,7 @@ from . import __version__, io, metrics as metrics_mod, rng, toydata
 from .config import RunConfig
 from .denoiser import Condition, GmmDenoiser, GmmModel, Mixture
 from .errors import InvalidArgument
-from .pie import Trajectory, check_bound_suite, diff_heatmap, pie_run, run_bound_suite
+from .pie import Trajectory, check_bound_suite, diff_heatmap, pie_run, run_bound_suite, stage_step_count
 from .transition import concat_clips, generate_transition, make_clip_skeleton
 
 log = logging.getLogger("mvg")
@@ -250,7 +250,6 @@ def _ablate_batch(cfg: RunConfig, rows: list[tuple]):
 
 
 def cmd_ablate(cfg: RunConfig, out_dir: Path, seeds: list[int], jobs: int = 1) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
     base = cfg.pie_config()
     # (table, key columns, PieConfig) per sweep cell
     cells = (
@@ -263,9 +262,14 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, seeds: list[int], jobs: int = 1) -
     # every (cell, seed index) is a row; the rows of one γ fill batches, longest N first
     batches = []
     for gamma in dict.fromkeys(pc.gamma for pc in pcs):
+        try:  # a sweep γ may give ⌊γT⌋ = 0: fail before any output
+            stage_step_count(gamma, cfg.schedule())
+        except InvalidArgument as err:
+            raise InvalidArgument(f"config invalid for the ablate sweep: {err}") from err
         group = sorted(((c, i) for c, pc in enumerate(pcs) if pc.gamma == gamma
                         for i in range(len(seeds))), key=lambda row: -pcs[row[0]].N)
         batches += [group[j:j + BATCH_ROWS] for j in range(0, len(group), BATCH_ROWS)]
+    out_dir.mkdir(parents=True, exist_ok=True)
     results = _map(_ablate_batch, [(cfg, [(pcs[c], seeds[i]) for c, i in batch])
                                    for batch in batches], jobs)
     by_row = {row: out for batch, outs in zip(batches, results) for row, out in zip(batch, outs)}

@@ -19,7 +19,7 @@ from . import io, rng, toydata
 from .denoiser import Condition, GmmDenoiser
 from .errors import InvalidArgument
 from .metrics import make_embedder
-from .pie import PieConfig
+from .pie import PieConfig, stage_step_count
 from .scheduler import build_schedule
 from .toydata import DomainSpec
 
@@ -33,6 +33,15 @@ _POSITIVE = math.ulp(0.0)  # the least float above 0: a minimum of it excludes 0
 
 def _fail(where: list, message: str):
     raise InvalidArgument(f"config invalid at {where}: {message}")
+
+
+def _finite(value, where: list):
+    """Reject NaN and ±Infinity at any depth of value: NaN passes every bound."""
+    if isinstance(value, float) and not math.isfinite(value):
+        _fail(where, f"{value!r} is not a finite number")
+    for key, item in (value.items() if isinstance(value, dict)
+                      else enumerate(value) if isinstance(value, list) else ()):
+        _finite(item, where + [key])
 
 
 def _check(value, spec, where: list):
@@ -59,6 +68,7 @@ def _check(value, spec, where: list):
         name, minimum, maximum = (spec, None, None) if isinstance(spec, str) else spec
         if isinstance(value, bool) or not isinstance(value, _TYPES[name]):
             _fail(where, f"{value!r} is not of type {name!r}")
+        _finite(value, where)
         if minimum is not None and value < minimum:
             _fail(where, f"{value!r} is less than the minimum of {minimum}")
         if maximum is not None and value > maximum:
@@ -176,7 +186,9 @@ class RunConfig:
                                   f"{v['stages']} - {v['burn_in']}")
         cfg._check_files()
         try:
-            cfg.seeds(), cfg.pie_config(), cfg.embedder(), cfg.schedule(), cfg.verify_schedule()
+            cfg.seeds(), cfg.embedder(), cfg.verify_schedule()
+            for gamma in (cfg.pie_config().gamma, cfg.raw["video"]["gamma"]):  # ⌊γT⌋ >= 1
+                stage_step_count(gamma, cfg.schedule())
             model = cfg.model()
             for y in cfg.conditions():
                 model.mixture(y)

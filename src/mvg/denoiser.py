@@ -7,10 +7,10 @@ level ᾱ is Σᵢ wᵢ·N(√ᾱ·μᵢ, (ᾱσᵢ² + 1−ᾱ)I), so the optim
                = √(1−ᾱ_t)·Σᵢ rᵢ(x)·(x − √ᾱ_t·μᵢ)/Vᵢ,   Vᵢ = ᾱ_t σᵢ² + 1−ᾱ_t
 
 is available exactly, with responsibilities rᵢ computed in log space. The
-denoiser and the density share one component kernel. It expands the squares,
-‖x − √ᾱ·μᵢ‖² = ‖x‖² − 2√ᾱ·x·μᵢ + ᾱ‖μᵢ‖², and ε̂ likewise as
-√(1−ᾱ)·(x·Σᵢ rᵢ/Vᵢ − √ᾱ·Σᵢ (rᵢ/Vᵢ)·μᵢ), so a batch costs O(B·(m+d)) memory,
-never a (B, m, d) table of offsets.
+denoiser, the density and the class confidence share one component kernel and one
+normaliser, the package's only log-sum-exp. The kernel expands the squares,
+‖x − √ᾱ·μᵢ‖² = ‖x‖² − 2√ᾱ·x·μᵢ + ᾱ‖μᵢ‖², and ε̂ likewise as √(1−ᾱ)·(x·Σᵢ rᵢ/Vᵢ −
+√ᾱ·Σᵢ (rᵢ/Vᵢ)·μᵢ), so a batch costs O(B·(m+d)) memory, never a (B, m, d) table.
 
 ``gmm_eps`` and ``GmmDenoiser.predict`` take one image (*event) or a batch
 (B, *event), the event shape being the mixture's. The kernel works on (B, d)
@@ -108,23 +108,13 @@ def _component_logits(x, mu, ab: float, log_w, var) -> np.ndarray:
     return log_w - 0.5 * d * np.log(2 * np.pi * var) - sq / (2 * var)
 
 
-def _logsumexp(a) -> np.float64:
-    """log Σ exp(a) over a 1-D real array, bit-identical to
-    ``scipy.special.logsumexp(a)``: the maxima are split out of the shifted sum
-    (log1p(s/count) + log(count) + max), and a non-finite result falls back to
-    the direct log Σ exp(a)."""
-    a = np.asarray(a, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = a.max()
-        at_top = a == top
-        count = at_top.sum(dtype=np.float64)
-        # zero the maxima rather than drop them: numpy's pairwise sum then runs
-        # over the same layout as scipy's, which keeps the bits equal
-        s = np.where(at_top, 0.0, np.exp(a - top)).sum()
-        out = np.log1p(s / count) + np.log(count) + top
-        if not np.isfinite(out):
-            out = np.log(np.exp(a).sum())
-    return out
+def _log_normalize(a):
+    """(a − lse, lse) over the last axis of a (B, m) table: lse = top + log Σ exp(a − top)
+    (B, 1), top the row's maximum, so a − lse ≤ 0; no finite entry gives a non-finite lse."""
+    with np.errstate(invalid="ignore", over="ignore"):  # −inf − −inf: nan, not a warning
+        top = a.max(axis=-1, keepdims=True)
+        lse = top + np.log(np.exp(a - top).sum(axis=-1, keepdims=True))
+        return a - lse, lse
 
 
 def mixture_logpdf(x: np.ndarray, mix: Mixture) -> float:
@@ -133,9 +123,10 @@ def mixture_logpdf(x: np.ndarray, mix: Mixture) -> float:
     mu = mix.means.reshape(len(mix.weights), -1)
     if x.shape[0] != mu.shape[1]:
         raise ShapeMismatch(f"x has dim {x.shape[0]}, mixture has dim {mu.shape[1]}")
-    comp = _component_logits(x[None], mu, 1.0, np.log(mix.weights), mix.variances)[0]
+    comp = _component_logits(x[None], mu, 1.0, np.log(mix.weights), mix.variances)
+    lse = float(_log_normalize(comp)[1][0, 0])
     # past |x| ~ 1e306 both ‖x‖² and x·μᵢ overflow, inf − inf: a zero density
-    return float(_logsumexp(np.where(np.isnan(comp), -np.inf, comp)))
+    return lse if np.isfinite(lse) else -np.inf
 
 
 class GmmModel:
@@ -208,14 +199,10 @@ def gmm_eps(x: np.ndarray, t: int, y, m: GmmModel, s: NoiseSchedule) -> np.ndarr
     mu = mix.means.reshape(len(mix.weights), -1)
     var = ab * mix.variances + (1.0 - ab)
     rows = x.reshape(-1, mu.shape[1])
-    comp = _component_logits(rows, mu, ab, np.log(mix.weights), var)
-    # One vectorized pass over the (B, m) table: _logsumexp is per row and rounds
-    # differently (log1p split), so it would cost a loop and move every ε̂ by ulps.
-    top = comp.max(axis=-1, keepdims=True)
-    if not np.isfinite(top).all():
+    log_r, lse = _log_normalize(_component_logits(rows, mu, ab, np.log(mix.weights), var))
+    if not np.isfinite(lse).all():
         raise DegenerateMixture("all mixture responsibilities underflowed")
-    r = np.exp(comp - (top + np.log(np.exp(comp - top).sum(axis=-1, keepdims=True))))
-    r /= var  # now rᵢ/Vᵢ
+    r = np.exp(log_r) / var  # rᵢ/Vᵢ
     # the scalars go on the (B, m) weights, so only three passes touch (B, d)
     scale = np.sqrt(1.0 - ab)
     eps = rows * (scale * r.sum(axis=-1, keepdims=True))

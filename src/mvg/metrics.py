@@ -1,5 +1,6 @@
 """Evaluation metrics: identity preservation (mean cosine to the run origin),
-Bayes classifier confidence, kernel distance between feature sets, and MAE."""
+Bayes classifier confidence (the class log densities normalised by the
+denoiser's one log-sum-exp), kernel distance between feature sets, and MAE."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import Condition, GmmModel, _logsumexp, mixture_logpdf
+from .denoiser import Condition, GmmModel, _log_normalize, mixture_logpdf
 from .errors import DegenerateMixture, InvalidArgument, ShapeMismatch
 
 
@@ -83,22 +84,17 @@ def clip_i(states, e) -> float:
     return float(cos[valid].mean())
 
 
-def class_log_likelihoods(x, m: GmmModel) -> dict[int, float]:
-    return {c: mixture_logpdf(x, m.class_mixtures[c]) for c in m.class_ids}
-
-
 def confidence(x, y_target: Condition, m: GmmModel) -> float:
-    """Bayes posterior p(class = y_target.class_id | x) under uniform class priors."""
+    """Bayes posterior p(class = y_target.class_id | x) under uniform class
+    priors: exp of the target's normalised log density, so at most 1."""
     if len(m.class_ids) < 2:
         raise InvalidArgument("confidence needs a model with at least two classes")
-    if y_target.class_id not in m.class_mixtures:
-        raise InvalidArgument(f"unknown class_id {y_target.class_id}")
-    logs = class_log_likelihoods(x, m)
-    values = np.array([logs[c] for c in m.class_ids])
-    if not np.any(np.isfinite(values)):
+    m.mixture(y_target)  # raises on an unknown class_id
+    log_post, lse = _log_normalize(
+        np.array([[mixture_logpdf(x, m.class_mixtures[c]) for c in m.class_ids]]))
+    if not np.isfinite(lse).all():
         raise DegenerateMixture("density underflowed for every class")
-    log_post = values - _logsumexp(values)
-    return float(np.exp(log_post[m.class_ids.index(y_target.class_id)]))
+    return float(np.exp(log_post[0, m.class_ids.index(y_target.class_id)]))
 
 
 def _poly_kernel(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -323,8 +323,9 @@ def _mutations(base):
     """(name, config) of the seeded mutations of one config."""
     paths = dict.fromkeys(p for p, _ in _schema_paths(SCHEMA))
     paths.update(_paths(_merged(base)))
-    for path, value in paths.items():  # a wrong type at every leaf and object
-        for bad in ("x", True, None, [1], {"a": 1}, float(value) if type(value) is int else 2.0):
+    for path, value in paths.items():  # a wrong type or a non-finite number at every key
+        for bad in ("x", True, None, [1], {"a": 1}, float(value) if type(value) is int else 2.0,
+                    math.nan, -math.inf):
             yield f"{path}={bad!r}", _with(base, path, bad)
     for path, sub in _schema_paths(SCHEMA):  # just outside every bound
         for bound, step in (("minimum", -1), ("exclusiveMinimum", 0), ("maximum", 0.5)):
@@ -350,6 +351,12 @@ def _mutations(base):
                   [], [1, 1], [2, -1], {"count": 0}, {"start": 1}, {"count": 2, "start": -1},
                   {"count": 2, "step": 1}, {"count": 2.0}, {"count": 10**30}):
         yield f"seeds={seeds!r}", _with(base, ("seeds",), seeds)
+
+
+def _non_finite(raw) -> bool:
+    """Whether raw holds NaN or ±Infinity anywhere, which JSON Schema's number
+    type and bounds let through."""
+    return any(isinstance(v, float) and not math.isfinite(v) for _p, v in _paths(raw))
 
 
 def _constructor_rejects(raw, base_dir) -> bool:
@@ -383,8 +390,9 @@ class TestConfig:
         """Over the shipped configs and their seeded mutations: every config
         SCHEMA rejects, the loader rejects with InvalidArgument (any other
         exception fails the test). A config the loader rejects and SCHEMA
-        accepts has an integral float at an integer key, or holds a value a
-        constructor rejects; a config a constructor rejects fails at load.
+        accepts has an integral float at an integer key, holds a non-finite
+        number, or holds a value a constructor rejects; a config a constructor
+        rejects fails at load.
         The shipped configs load with the raw and config_hash they had."""
         io.write_tensor(tmp_path / "mask.mvgt", np.ones((16, 16)))
         corpus = []
@@ -393,7 +401,8 @@ class TestConfig:
             cfg = RunConfig.load(REPO / name)
             assert cfg.raw == _merged(base) and cfg.config_hash() == config_hash, name
             corpus += [(name, base)] + [(f"{name}: {m}", c) for m, c in _mutations(base)]
-        seen = {"schema rejects": 0, "integral float": 0, "constructor rejects": 0, "loads": 0}
+        seen = {"schema rejects": 0, "integral float": 0, "non-finite number": 0,
+                "constructor rejects": 0, "loads": 0}
         for name, raw in corpus:
             try:
                 RunConfig.from_dict(raw, base_dir=tmp_path)
@@ -407,6 +416,9 @@ class TestConfig:
             elif not STRICT_INT_VALIDATOR.is_valid(raw):
                 assert not loads, name
                 seen["integral float"] += 1
+            elif _non_finite(raw):
+                assert not loads, name
+                seen["non-finite number"] += 1
             elif constructor_rejects:
                 assert not loads, name
                 seen["constructor rejects"] += 1
@@ -416,9 +428,18 @@ class TestConfig:
         assert min(seen.values()) >= 10, seen
 
     def test_schema_violation(self, tmp_path):
-        path = write_config(tmp_path, {"pie": {"gamma": 2.0}})
-        with pytest.raises(InvalidArgument, match="gamma"):
-            RunConfig.load(path)
+        # NaN and Infinity parse as JSON numbers; NaN would pass every bound,
+        # and a NaN severity would load as 0.0
+        non_finite = r"'\]: (nan|inf) is not a finite number"
+        for overrides, match in [({"pie": {"gamma": 2.0}}, "gamma"),
+                                 ({"condition": {"target": {"class_id": 1, "severity": math.nan}}},
+                                  "severity" + non_finite),
+                                 ({"verify": {"x0_scale": math.nan}}, "x0_scale" + non_finite),
+                                 ({"verify": {"delta": math.inf}}, "delta" + non_finite),
+                                 ({"domain": {"noise_sigma": math.nan}}, "noise_sigma" + non_finite),
+                                 ({"video": {"gamma": math.nan}}, "gamma" + non_finite)]:
+            with pytest.raises(InvalidArgument, match=match):
+                RunConfig.load(write_config(tmp_path, overrides))
 
     def test_unknown_key_rejected(self, tmp_path):
         misspelt_class = {"class_id": 0, "center": [5.0, 5.0], "radius": 3.0}
@@ -511,6 +532,11 @@ class TestConfig:
         assert a.config_hash() == RunConfig.load(tmp_path / "a.json").config_hash()
 
 
+# T = 9 leaves ablate's γ = 0.1 sweep cells no step (⌊0.9⌋ = 0), and none of
+# the γ that simulate reads
+SWEEP_GAMMA_ZERO_STEPS = {"schedule": {"T": 9}}
+
+
 class TestFlags:
     def test_duplicate_seeds_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -555,11 +581,19 @@ class TestFlags:
         {"mask": {"kind": "disk", "params": {"center": [10.0, 10.0], "radius": 20.0}}},
         {"condition": {"target": {"class_id": 7}}},
         {"schedule": {"T": 10, "beta_start": 0.5, "beta_end": 0.1}},
-    ], ids=["mask_radius", "target_class", "beta_order"])
+        {"pie": {"gamma": 0.01}},  # ⌊γT⌋ = 0 at T = 10
+        {"video": {"gamma": 0.05}},
+        SWEEP_GAMMA_ZERO_STEPS,
+    ], ids=["mask_radius", "target_class", "beta_order", "pie_gamma", "video_gamma",
+            "sweep_gamma"])
     def test_constructor_errors_rejected_before_any_output(self, tmp_path, capsys, command,
                                                            overrides):
         path = write_config(tmp_path, overrides)
-        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if overrides is SWEEP_GAMMA_ZERO_STEPS and command == "simulate":
+            assert main(argv) == 0  # only ablate runs the sweep's γ
+            return
+        assert main(argv) == 1
         assert "error: config invalid" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

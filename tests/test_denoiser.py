@@ -4,9 +4,9 @@ import pytest
 from scipy.special import logsumexp
 
 from mvg import (Condition, ConditionBlend, GmmDenoiser, GmmModel, Mixture,
-                 blend_conditions, build_schedule, gmm_eps)
+                 blend_conditions, build_schedule, confidence, gmm_eps)
 from mvg.config import RunConfig
-from mvg.denoiser import _logsumexp, mixture_logpdf
+from mvg.denoiser import _log_normalize, mixture_logpdf
 from mvg.errors import DegenerateMixture, InvalidArgument, ShapeMismatch
 from mvg.toydata import sample
 from tests.conftest import SOFT_DOMAIN
@@ -207,22 +207,33 @@ def test_mixture_logpdf_of_overflowing_row_is_minus_inf(default_model):
         assert mixture_logpdf(np.full(mix.event_shape, v), mix) == -np.inf
 
 
+# Set before the first run: the normaliser's top + log Σ exp(a − top) agrees with
+# scipy.special.logsumexp, which splits the maxima out through log1p, to within
+# LSE_RTOL·max(1, |want|); the two differ by at most a few ulps, not bit for bit.
+LSE_RTOL = 4.5e-16
+
+
 class TestLogsumexp:
-    """The package's own logsumexp equals scipy's bit for bit on real 1-D input,
-    so dropping scipy from the runtime path changes no output."""
+    """The package's one log-sum-exp, _log_normalize, against scipy's on real
+    1-D input, taken as a one-row table."""
 
     @staticmethod
-    def assert_bits_equal(a):
+    def assert_close(a):
         a = np.asarray(a, dtype=np.float64)
-        want, got = logsumexp(a), _logsumexp(a)
-        assert type(got) is type(want)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (a, got, want)
+        want = logsumexp(a)
+        log_w, lse = _log_normalize(a[None])
+        got = lse[0, 0]
+        if not np.isfinite(want):  # no finite entry: the callers test for a non-finite lse
+            assert not np.isfinite(got), (a, got)
+            return
+        assert abs(got - want) <= LSE_RTOL * max(1.0, abs(want)), (a, got, want)
+        assert np.all(log_w <= 0.0)
 
     def test_random_inputs(self):
         g = np.random.default_rng(20)
         for _ in range(3000):
             scale = 10.0 ** g.uniform(-3, 3)
-            self.assert_bits_equal(scale * g.standard_normal(g.integers(1, 11)))
+            self.assert_close(scale * g.standard_normal(g.integers(1, 11)))
 
     @pytest.mark.parametrize("a", [
         [-np.inf, 0.3, -1.2],
@@ -235,7 +246,18 @@ class TestLogsumexp:
     ], ids=["neg_inf_entry", "all_neg_inf", "tied_max", "tied_max_len9",
             "huge_1e308", "low_-800", "single"])
     def test_edge_inputs(self, a):
-        self.assert_bits_equal(a)
+        self.assert_close(a)
+
+    def test_no_finite_entry(self, default_model):
+        """An all −inf row gives a non-finite lse, which mixture_logpdf reports
+        as a zero density and confidence as a degenerate mixture."""
+        _, lse = _log_normalize(np.full((1, 3), -np.inf))
+        assert not np.isfinite(lse[0, 0])
+        x = np.full(default_model.event_shape, 1e160)  # every class's components give −inf
+        for c in default_model.class_ids:
+            assert mixture_logpdf(x, default_model.class_mixtures[c]) == -np.inf
+        with pytest.raises(DegenerateMixture):
+            confidence(x, Condition(1), default_model)
 
 
 class TestModel:

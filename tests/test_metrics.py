@@ -1,12 +1,44 @@
+from pathlib import Path
+
+import mpmath as mp
 import numpy as np
 import pytest
 
 from mvg import (Condition, GmmModel, IdentityEmbedder, Mixture,
                  RandomProjectionEmbedder, clip_i, confidence,
                  kid, mae)
+from mvg import io
+from mvg.cli import main
+from mvg.config import RunConfig
 from mvg.errors import InvalidArgument, ShapeMismatch
 from mvg.metrics import make_embedder
-from mvg.toydata import DomainSpec, sample
+from mvg.toydata import DomainSpec, render_mean, sample
+from tests.conftest import SOFT_DOMAIN
+
+REPO = Path(__file__).resolve().parent.parent
+# Set before the first run: confidence against mp_confidence, relative to the
+# exact value, over simulate's stored states, whose confidences run from ~1e-75
+# at stage 0 up to ~1, below the 1e-10 absolute tolerance of the older oracles.
+CONF_RTOL = 1e-12
+
+
+def mp_confidence(x, y_target, m: GmmModel, digits: int = 40) -> float:
+    """p(class = y_target.class_id | x) under uniform class priors, every
+    squared distance summed in mpmath from the exact float inputs."""
+    with mp.workdps(digits):
+        xs = [mp.mpf(float(v)) for v in np.ravel(x)]
+        density = {}
+        for c in m.class_ids:
+            mix = m.class_mixtures[c]
+            terms = []
+            for w, mean, var in zip(mix.weights, mix.means.reshape(len(mix.weights), -1),
+                                    mix.variances):
+                V = mp.mpf(float(var))
+                sq = mp.fsum((xj - mp.mpf(float(mj))) ** 2 for xj, mj in zip(xs, mean))
+                terms.append(mp.log(mp.mpf(float(w))) - len(xs) * mp.log(2 * mp.pi * V) / 2
+                             - sq / (2 * V))
+            density[c] = mp.fsum(mp.exp(t) for t in terms)
+        return float(density[y_target.class_id] / mp.fsum(density.values()))
 
 
 class TestClipI:
@@ -61,28 +93,45 @@ class TestConfidence:
         assert confidence(np.array([12.0]), Condition(1), model) >= 0.999
 
     def test_matches_high_precision_brute_force(self, default_model):
-        """Oracle: posterior from mpmath densities evaluated at 50 digits."""
-        import mpmath as mp
-        mp.mp.dps = 50
+        """Oracle: posterior from mpmath densities (mp_confidence)."""
         rng = np.random.default_rng(4)
         spec = DomainSpec()
         for i in range(10):
             y = Condition(int(rng.integers(0, 2)), 1.0)
             x = sample(default_model, y, 1, seed=i)[0] + 0.05 * rng.standard_normal(spec.shape)
-            xf = x.ravel()
-            per_class = {}
-            for c, mix in default_model.class_mixtures.items():
-                total = mp.mpf(0)
-                for w, mean, var in zip(mix.weights, mix.means, mix.variances):
-                    sq = float(((xf - mean.ravel()) ** 2).sum())
-                    d = xf.size
-                    total += mp.mpf(w) * mp.e ** (
-                        -mp.mpf(sq) / (2 * mp.mpf(var))
-                        - mp.mpf(d) / 2 * mp.log(2 * mp.pi * mp.mpf(var)))
-                per_class[c] = total
-            want = float(per_class[1] / (per_class[0] + per_class[1]))
+            want = mp_confidence(x, Condition(1), default_model)
             got = confidence(x, Condition(1), default_model)
             assert got == pytest.approx(want, abs=1e-10)
+
+    def test_matches_mpmath_on_stored_simulate_states(self, tmp_path):
+        """Every state simulate stores on configs/video.json (seeds 0-3), to a
+        relative tolerance, so the tiny stage-0 values are checked too."""
+        config = REPO / "configs" / "video.json"
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path),
+                     "--seeds", "0,1,2,3"]) == 0
+        cfg = RunConfig.load(config)
+        model, y_target = cfg.model(), cfg.conditions()[1]
+        states = sorted(tmp_path.glob("seed_*/state_*.mvgt"))
+        assert len(states) == 4 * (cfg.pie_config().N + 1)
+        worst = 0.0
+        for path in states:
+            x = io.read_tensor(path)
+            want = mp_confidence(x, y_target, model)
+            got = confidence(x, y_target, model)
+            worst = max(worst, abs(got - want) / want)
+        assert worst <= CONF_RTOL, worst
+
+    @pytest.mark.parametrize("domain", ["default", "soft"])
+    def test_at_most_one_at_every_class_mean(self, domain):
+        """At each component mean and each grid severity's rendered mean, every
+        class's confidence stays in [0, 1]."""
+        cfg = RunConfig.from_dict({"domain": SOFT_DOMAIN} if domain == "soft" else {})
+        spec, model = cfg.domain(), cfg.model()
+        means = [mean for c in model.class_ids for mean in model.class_mixtures[c].means]
+        means += [render_mean(spec, c, s) for c in model.class_ids for s in spec.severity_grid]
+        for x in means:
+            for c in model.class_ids:
+                assert 0.0 <= confidence(x, Condition(c), model) <= 1.0
 
     def test_sums_to_one(self, two_class):
         x = np.array([0.3, -0.7])
