@@ -8,8 +8,7 @@ from .denoiser import (Condition, ConditionBlend, GmmDenoiser, GmmModel,
 from .metrics import (IdentityEmbedder, RandomProjectionEmbedder, clip_i,
                       confidence, kid, mae)
 from .pie import (ConvergenceBound, PieConfig, Trajectory, composite_roi,
-                  diff_heatmap, pie_run, pie_stage, prop2_bound,
-                  step_decay_fit)
+                  diff_heatmap, pie_run, prop2_bound, step_decay_fit)
 from .scheduler import (NoiseSchedule, build_schedule, ddim_chain, ddim_step,
                         forward_diffuse)
 from .toydata import ClassSpec, DomainSpec, build_domain, make_mask, render_mean, sample
@@ -21,7 +20,7 @@ __all__ = [
     "IdentityEmbedder", "RandomProjectionEmbedder", "clip_i", "confidence",
     "kid", "mae",
     "ConvergenceBound", "PieConfig", "Trajectory", "composite_roi",
-    "diff_heatmap", "pie_run", "pie_stage", "prop2_bound", "step_decay_fit",
+    "diff_heatmap", "pie_run", "prop2_bound", "step_decay_fit",
     "NoiseSchedule", "build_schedule", "ddim_chain", "ddim_step",
     "forward_diffuse",
     "ClassSpec", "DomainSpec", "build_domain", "make_mask", "render_mean", "sample",

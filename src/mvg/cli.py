@@ -6,9 +6,11 @@ log verbosity. simulate's and ablate's pie_run batches run in a worker pool
 under --jobs N (N >= 1). simulate cuts its seeds into contiguous blocks, at
 least N of them and none over BATCH_ROWS seeds, and runs each block as one
 pie_run. ablate makes every (sweep cell, seed) a row and runs the rows of one
-γ together, across cells, in pie_run batches of BATCH_ROWS. video denoises
-all clips of a run in one generate_transition call, and its video/ frames are
-hard links to the clip frames they repeat.
+γ together, across cells, in pie_run batches of BATCH_ROWS. video reads and
+checks every requested run before it writes anything, denoises all clips of a
+run in one generate_transition call, and makes its video/ frames hard links to
+the clip frames they repeat. verify-bounds writes check_bound_suite's report
+as verify_report.json and prints one line per check.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, io, metrics as metrics_mod, rng, toydata
+from . import __version__, io, metrics as metrics_mod, rng
 from .config import RunConfig
 from .denoiser import Condition, GmmDenoiser, GmmModel, Mixture
 from .errors import InvalidArgument
-from .pie import Trajectory, check_bound_suite, diff_heatmap, pie_run, run_bound_suite, stage_step_count
+from .pie import (Trajectory, check_bound_suite, decay_probe_run, diff_heatmap, pie_run,
+                  stage_step_count)
 from .transition import concat_clips, generate_transition, make_clip_skeleton
 
 log = logging.getLogger("mvg")
@@ -166,10 +169,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seeds: list[int], jobs: int = 1)
     if len(seeds) >= 2:
         terminal = [io.read_tensor(out_dir / f"seed_{s:04d}" / f"state_{max(by_stage):03d}.mvgt")
                     for s in seeds]
-        ref_cfg = cfg.raw["kid_reference"]
-        reference = toydata.sample(cfg.model(), cfg.conditions()[1],
-                                   ref_cfg["count"], seed=ref_cfg["seed"])
-        terminal_kid = metrics_mod.kid(terminal, reference, cfg.embedder())
+        terminal_kid = metrics_mod.kid(terminal, cfg.kid_reference(), cfg.embedder())
     summary = []
     for n in sorted(by_stage):
         vals = np.array(by_stage[n], dtype=np.float64)
@@ -197,11 +197,16 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
     K, gamma, vseed = video["K"], video["gamma"], video["seed"]
     sched, den, mask = cfg.schedule(), cfg.denoiser(), cfg.mask()
     _, y_target = cfg.conditions()
+    runs = []  # every requested run is read and checked before anything is written
     for seed in seeds:
         run_dir = out_dir / f"seed_{seed:04d}"
         if not (run_dir / "manifest.json").exists():
             raise FileNotFoundError(f"missing trajectory: {run_dir}")
         states = _read_states(run_dir)
+        if len(states) < 2:
+            raise InvalidArgument(f"{run_dir} holds {len(states)} state(s); a video needs at least two")
+        runs.append((seed, run_dir, states))
+    for seed, run_dir, states in runs:
         tags = [(n, vseed, rng.CLIP) for n in range(1, len(states))]
         skels = [make_clip_skeleton(states[n - 1], states[n], K, seed, tag=tag)
                  for n, tag in enumerate(tags, start=1)]
@@ -276,10 +281,8 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, seeds: list[int], jobs: int = 1) -
 
     # per cell, in seed order: mean terminal confidence, mean clip_i, and the
     # terminal set's kid against one reference sample of the target condition
-    _, y_target = cfg.conditions()
     emb = cfg.embedder()
-    ref_cfg = cfg.raw["kid_reference"]
-    reference = toydata.sample(cfg.model(), y_target, ref_cfg["count"], seed=ref_cfg["seed"])
+    reference = cfg.kid_reference()
     tables = {"gamma": [], "steps": [], "beta": []}
     for c, (table, keys, _pc) in enumerate(cells):
         terminal, confs, clip_is = zip(*(by_row[c, i] for i in range(len(seeds))))
@@ -302,34 +305,20 @@ def verify_model(shape) -> GmmModel:
 
 
 def cmd_verify_bounds(cfg: RunConfig, out_dir: Path) -> int:
+    """Run the decay probes, write check_bound_suite's report as
+    verify_report.json, print one line per check; exit 0 only if all pass."""
     v = cfg.raw["verify"]
     sched = cfg.verify_schedule()
     shape = cfg.domain().shape
-    model = verify_model(shape)
-    den = GmmDenoiser(model, sched)
     x0 = float(v["x0_scale"]) * np.ones(shape)
-    suite = run_bound_suite(x0, den, Condition(0, 0.0), sched,
-                            n_stages=v["stages"], seeds=range(v["seeds"]),
-                            delta=v["delta"], burn_in=v["burn_in"])
-    outcomes = check_bound_suite(suite)
+    probes = decay_probe_run(x0, GmmDenoiser(verify_model(shape), sched), Condition(0, 0.0), sched,
+                             v["stages"], range(v["seeds"]))
+    report = check_bound_suite(probes, sched, v["delta"], v["burn_in"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = {
-        "schedule": sched.to_dict(),
-        "alpha0": float(sched.alpha_bars[1]),
-        "alpha1": float(sched.alpha_bars[2]),
-        "target_slope": suite.target_slope,
-        "mean_slope": suite.mean_slope(),
-        "delta": suite.delta,
-        "n_min": [b.n_min for b in suite.bounds],
-        "kappa": [b.kappa for b in suite.bounds],
-        "checks": [{"name": o.name, "passed": o.passed, "detail": o.detail} for o in outcomes],
-    }
     io.write_json(out_dir / "verify_report.json", report)
-    ok = True
-    for o in outcomes:
-        print(f"[{'PASS' if o.passed else 'FAIL'}] {o.name}: {o.detail}")
-        ok &= o.passed
-    return 0 if ok else 1
+    for c in report["checks"]:
+        print(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: {c['detail']}")
+    return 0 if all(c["passed"] for c in report["checks"]) else 1
 
 
 def cmd_metrics(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:

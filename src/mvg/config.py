@@ -257,6 +257,12 @@ class RunConfig:
     def embedder(self):
         return make_embedder(**self.raw["embedder"])
 
+    def kid_reference(self) -> list[np.ndarray]:
+        """The reference set kid compares terminal states with: kid_reference.count
+        samples of the target condition, drawn from kid_reference.seed."""
+        ref = self.raw["kid_reference"]
+        return toydata.sample(self.model(), self.conditions()[1], ref["count"], seed=ref["seed"])
+
     def seeds(self) -> list[int]:
         spec = self.raw["seeds"]
         if isinstance(spec, dict):

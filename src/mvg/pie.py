@@ -1,9 +1,10 @@
-"""Progressive editing: per-stage noise/denoise with ROI compositing, the
-geometric-decay bound calculators, and decay diagnostics.
+"""Progressive editing: the edit recursion with ROI compositing, the
+geometric-decay bound calculators, and the decay verification suite.
 
-A stage noises the previous state to step k = ⌊γT⌋, runs the deterministic
-reverse chain under the target condition, then blends the result against the
-run-origin image inside/outside the ROI mask:
+Each recursion is one function. A ``pie_run`` stage noises the previous
+state to step k = ⌊γT⌋, runs the deterministic reverse chain under the target
+condition, then blends the result against the run-origin image inside/outside
+the ROI mask:
 
     out = (β₁·(x'−x₀) + x₀)·(1−M) + (β₂·(x'−x₀) + x₀)·M
 
@@ -14,6 +15,8 @@ batch-mates. ``pie_run``'s rows may carry their own N, β₁ and β₂ (one γ p
 batch); it keeps every state, a (B, max N + 1, *event) table.
 ``decay_probe_run`` keeps only what the decay checks read: per probe the step
 deltas, the observed C₂ and the drift ‖x_N − x₀‖, O(B) images at any stage.
+``check_bound_suite`` turns those probes into the verify_report.json dict,
+bounds and checks alike.
 ``composite_roi`` blends one image or a (B, *plane) batch against one mask,
 with β₁, β₂ shared or one per row.
 Every L2 norm of an image (step deltas, C₁, the observed C₂, the drift) goes
@@ -188,40 +191,31 @@ def _noise(shape, seeds, stage: int) -> np.ndarray:
     return np.stack([rng.normal(shape, seed, stage=stage) for seed in seeds])
 
 
-def pie_stage(x_prev, x_origin, y, cfg, d, m, s: NoiseSchedule, stage_index: int,
-              seeds) -> np.ndarray:
-    """One edit stage of a seed batch x_prev (B, *event): noise row b to k from
-    stream (seeds[b], stage_index), reverse chain under y, ROI-composite with
-    row b's β₁, β₂. cfg is one PieConfig or one per row (see pie_run)."""
-    _check_seeds(seeds)
-    cfgs = _row_configs(cfg, len(seeds))
-    x_prev = np.asarray(x_prev, dtype=np.float64)
-    x_origin = np.asarray(x_origin, dtype=np.float64)
-    if x_prev.shape != (len(seeds),) + x_origin.shape:
-        raise ShapeMismatch(f"x_prev {x_prev.shape} vs {len(seeds)} seeds of x_origin {x_origin.shape}")
-    k = stage_step_count(cfgs[0].gamma, s)
-    x_k = forward_diffuse(x_prev, k, _noise(x_origin.shape, seeds, stage_index), s)
-    x_gen = ddim_chain(x_k, k, d, y, s)
-    return composite_roi(x_gen, np.broadcast_to(x_origin, x_gen.shape), m,
-                         [c.beta1 for c in cfgs], [c.beta2 for c in cfgs])
-
-
 def pie_run(x0, y_target, cfg, d, m, s: NoiseSchedule, seeds) -> list[Trajectory]:
     """Run the edit recursion from x0 once per seed, all seeds as one batch,
     conditioning every stage on y_target. cfg is one PieConfig for every row,
     or one per row: rows then carry their own N, β₁ and β₂ but share γ, and
-    row b retires after its N_b stages, so its Trajectory has N_b + 1 states."""
+    row b retires after its N_b stages, so its Trajectory has N_b + 1 states.
+
+    Stage n takes the live rows, noises row b to k = ⌊γT⌋ from stream
+    (seeds[b], n), runs the reverse chain under y_target and ROI-composites
+    with row b's β₁, β₂."""
     _check_seeds(seeds)
     cfgs = _row_configs(cfg, len(seeds))
+    k = stage_step_count(cfgs[0].gamma, s)
     x0 = np.asarray(x0, dtype=np.float64)
     n_stages = np.array([c.N for c in cfgs])
+    beta1, beta2 = np.array([c.beta1 for c in cfgs]), np.array([c.beta2 for c in cfgs])
     # row b's states fill only its first N_b + 1 slots; untouched pages cost no memory
     states = np.empty((len(seeds), n_stages.max() + 1) + x0.shape)
     states[:, 0] = x0
     for n in range(1, states.shape[1]):
         live = np.flatnonzero(n_stages >= n)
-        states[live, n] = pie_stage(states[live, n - 1], x0, y_target, [cfgs[b] for b in live],
-                                    d, m, s, n, [seeds[b] for b in live])
+        x_k = forward_diffuse(states[live, n - 1], k, _noise(x0.shape, [seeds[b] for b in live], n), s)
+        x_gen = ddim_chain(x_k, k, d, y_target, s)
+        states[live, n] = composite_roi(x_gen, np.broadcast_to(x0, x_gen.shape), m,
+                                        beta1[live], beta2[live])
+        del x_k, x_gen  # no stage's temporaries outlive it
     # each Trajectory's states are views into the table; differencing row by
     # row keeps the temporary to one row, not a second table
     return [Trajectory.from_states(row[:N + 1]) for row, N in zip(states, n_stages)]
@@ -326,89 +320,60 @@ def decay_probe_run(x0, denoiser, y, s: NoiseSchedule, n_stages: int, seeds) -> 
                        step_deltas=deltas, drift=_row_norms(x - x0))
 
 
-@dataclass
-class BoundSuiteResult:
-    """Measurements and per-seed bounds from the decay verification runs."""
-
-    schedule: NoiseSchedule
-    delta: float
-    probes: DecayProbes
-    bounds: list[ConvergenceBound]
-    burn_in: int = 5
-
-    @property
-    def target_slope(self) -> float:
-        return 0.5 * math.log(self.schedule.alpha_bars[2])
-
-    def negligible(self) -> bool:
-        """True when the schedule injected no noise to speak of: every step
-        delta is at float-residue scale relative to the start image."""
-        return bool(self.probes.step_deltas.max(initial=0.0) <= 1e-6 * (1.0 + self.probes.c1))
-
-    def mean_slope(self) -> float | None:
-        if self.negligible():
-            return None  # nothing to fit, decay trivially satisfied
-        return step_decay_fit(self.probes.step_deltas.mean(axis=0), self.burn_in)
-
-
-def run_bound_suite(x0, denoiser, y, s: NoiseSchedule, n_stages: int = 100,
-                    seeds=range(50), delta: float = 0.01, burn_in: int = 5) -> BoundSuiteResult:
-    probes = decay_probe_run(x0, denoiser, y, s, n_stages, seeds)
-    bounds = [prop2_bound(s, C1=probes.c1, C2=float(c2), delta=delta) for c2 in probes.c2_observed]
-    return BoundSuiteResult(schedule=s, delta=delta, probes=probes, bounds=bounds, burn_in=burn_in)
-
-
-@dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    passed: bool
-    detail: str
-
-
 SLOPE_RTOL = 0.2       # allowed relative deviation of the fitted decay slope
 ENVELOPE_FROM = 5      # first stage whose delta the envelope must dominate
 NMIN_QUORUM = 0.9      # share of seeds whose first sub-delta stage n_min must bound
 
 
-def check_bound_suite(result: BoundSuiteResult) -> list[CheckOutcome]:
-    """Evaluate the decay-suite assertions."""
-    probes = result.probes
-    n_seeds = len(probes.seeds)
-    if result.negligible():
-        # zero-noise schedule: every delta is numerically zero, the decay
-        # statements hold vacuously and the envelope constants are meaningless
-        detail = "all deltas at float-residue scale; trivially satisfied"
-        return [CheckOutcome(name, True, detail)
-                for name in ("decay_slope", "step_envelope", "n_min_upper_bound", "drift_kappa")]
+def check_bound_suite(probes: DecayProbes, s: NoiseSchedule, delta: float, burn_in: int) -> dict:
+    """The decay-suite assertions on a batch of probes, as the verify_report.json
+    dict: the schedule's stage pair, the fitted and target slopes, each probe's
+    n_min and κ from prop2_bound, and one {name, passed, detail} per check."""
+    bounds = [prop2_bound(s, C1=probes.c1, C2=float(c2), delta=delta) for c2 in probes.c2_observed]
+    # a schedule that injected no noise to speak of: every step delta is at
+    # float-residue scale relative to the start image, so there is nothing to fit
+    negligible = probes.step_deltas.max(initial=0.0) <= 1e-6 * (1.0 + probes.c1)
+    target = 0.5 * math.log(s.alpha_bars[2])
+    slope = None if negligible else step_decay_fit(probes.step_deltas.mean(axis=0), burn_in)
+    checks = []
+    report = {
+        "schedule": s.to_dict(),
+        "alpha0": float(s.alpha_bars[1]),
+        "alpha1": float(s.alpha_bars[2]),
+        "target_slope": target,
+        "mean_slope": slope,
+        "delta": delta,
+        "n_min": [b.n_min for b in bounds],
+        "kappa": [b.kappa for b in bounds],
+        "checks": checks,
+    }
 
-    slope = result.mean_slope()
-    target = result.target_slope
+    def check(name: str, passed, detail: str):
+        checks.append({"name": name, "passed": passed, "detail": detail})
+
+    if negligible:
+        # zero-noise schedule: the decay statements hold vacuously and the
+        # envelope constants are meaningless
+        for name in ("decay_slope", "step_envelope", "n_min_upper_bound", "drift_kappa"):
+            check(name, True, "all deltas at float-residue scale; trivially satisfied")
+        return report
+
     rel = abs(slope - target) / abs(target)
-    outcomes = [CheckOutcome(
-        "decay_slope", rel <= SLOPE_RTOL,
-        f"slope {slope:.5f} vs target {target:.5f} (rel. dev. {rel:.1%})")]
-
-    env_fail, drift_fail, nmin_ok = [], [], 0
-    for seed, deltas, drift, b in zip(probes.seeds, probes.step_deltas, probes.drift, result.bounds):
-        stages = np.arange(1, len(deltas) + 1)
-        sel = stages >= ENVELOPE_FROM
-        if np.any(deltas[sel] > b.envelope(stages[sel])):
-            env_fail.append(seed)
-        if drift > b.kappa:
-            drift_fail.append(seed)
-        below = np.nonzero(deltas < result.delta)[0]
-        first_below = int(below[0]) + 1 if below.size else None
-        if first_below is not None:
-            nmin_ok += first_below <= b.n_min
-        else:
-            nmin_ok += b.n_min >= len(deltas)  # bound not contradicted within the horizon
-    outcomes.append(CheckOutcome(
-        "step_envelope", not env_fail,
-        f"envelope dominates deltas for n >= {ENVELOPE_FROM} in {n_seeds - len(env_fail)}/{n_seeds} seeds"))
-    outcomes.append(CheckOutcome(
-        "n_min_upper_bound", nmin_ok >= math.ceil(NMIN_QUORUM * n_seeds),
-        f"n_min(delta={result.delta}) upper-bounds the first sub-delta stage in {nmin_ok}/{n_seeds} seeds"))
-    outcomes.append(CheckOutcome(
-        "drift_kappa", not drift_fail,
-        f"total drift within kappa in {n_seeds - len(drift_fail)}/{n_seeds} seeds"))
-    return outcomes
+    check("decay_slope", rel <= SLOPE_RTOL,
+          f"slope {slope:.5f} vs target {target:.5f} (rel. dev. {rel:.1%})")
+    n_seeds = len(probes.seeds)
+    late = np.arange(ENVELOPE_FROM, probes.step_deltas.shape[1] + 1)  # stages the envelope bounds
+    env_ok = drift_ok = nmin_ok = 0
+    for deltas, drift, b in zip(probes.step_deltas, probes.drift, bounds):
+        env_ok += not np.any(deltas[late - 1] > b.envelope(late))
+        drift_ok += not drift > b.kappa
+        below = np.flatnonzero(deltas < delta)
+        # with no sub-delta stage, n_min is not contradicted within the horizon
+        nmin_ok += bool(below[0] + 1 <= b.n_min if below.size else b.n_min >= len(deltas))
+    check("step_envelope", env_ok == n_seeds,
+          f"envelope dominates deltas for n >= {ENVELOPE_FROM} in {env_ok}/{n_seeds} seeds")
+    check("n_min_upper_bound", nmin_ok >= math.ceil(NMIN_QUORUM * n_seeds),
+          f"n_min(delta={delta}) upper-bounds the first sub-delta stage in {nmin_ok}/{n_seeds} seeds")
+    check("drift_kappa", drift_ok == n_seeds,
+          f"total drift within kappa in {drift_ok}/{n_seeds} seeds")
+    return report

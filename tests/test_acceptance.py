@@ -13,7 +13,7 @@ from mvg import (Condition, GmmDenoiser, build_schedule,
 from mvg.cli import main, verify_model
 from mvg.config import RunConfig
 from mvg.metrics import IdentityEmbedder, RandomProjectionEmbedder, clip_i, confidence, kid
-from mvg.pie import PieConfig, run_bound_suite
+from mvg.pie import PieConfig, check_bound_suite, decay_probe_run, prop2_bound
 from mvg.toydata import DomainSpec, make_mask, sample
 from mvg.transition import generate_transition, make_clip_skeleton
 from tests.conftest import SOFT_DOMAIN, SOFT_MASK
@@ -30,13 +30,17 @@ def report(cid: str, passed: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def decay_suite():
+    """The probes, check_bound_suite's report, each probe's Prop. 2 bound,
+    and the seconds the suite took."""
     start = time.perf_counter()
     sched = build_schedule(2, 0.1, 0.1)
     den = GmmDenoiser(verify_model((16, 16)), sched)
     x0 = 10.0 * np.ones((16, 16))
-    suite = run_bound_suite(x0, den, Condition(0), sched,
-                            n_stages=100, seeds=range(50), delta=0.01, burn_in=5)
-    return suite, time.perf_counter() - start
+    probes = decay_probe_run(x0, den, Condition(0), sched, n_stages=100, seeds=range(50))
+    suite_report = check_bound_suite(probes, sched, delta=0.01, burn_in=5)
+    bounds = [prop2_bound(sched, C1=probes.c1, C2=float(c2), delta=0.01)
+              for c2 in probes.c2_observed]
+    return probes, suite_report, bounds, time.perf_counter() - start
 
 
 def test_c01_ddim_consistency_law():
@@ -95,8 +99,8 @@ def test_c02_analytic_denoiser_correctness(default_model, sched50):
 
 
 def test_c03_geometric_decay_slope(decay_suite):
-    suite, elapsed = decay_suite
-    slope = suite.mean_slope()
+    _, suite_report, _, elapsed = decay_suite
+    slope = suite_report["mean_slope"]
     target = 0.5 * np.log(0.81)
     rel = abs(slope - target) / abs(target)
     report("C3 decay-slope",
@@ -105,17 +109,17 @@ def test_c03_geometric_decay_slope(decay_suite):
 
 
 def test_c04_drift_bound(decay_suite):
-    suite, _ = decay_suite
+    probes, _, bounds, _ = decay_suite
     ok = 0
-    for drift, b in zip(suite.probes.drift, suite.bounds):
+    for drift, b in zip(probes.drift, bounds):
         ok += drift <= b.kappa
     report("C4 drift-bound", ok == 50, f"drift within kappa for {ok}/50 seeds")
 
 
 def test_c05_stage_bound(decay_suite):
-    suite, _ = decay_suite
+    probes, _, bounds, _ = decay_suite
     env_ok, nmin_ok = 0, 0
-    for deltas, b in zip(suite.probes.step_deltas, suite.bounds):
+    for deltas, b in zip(probes.step_deltas, bounds):
         stages = np.arange(1, len(deltas) + 1)
         sel = stages >= 5
         env_ok += bool(np.all(deltas[sel] <= b.envelope(stages[sel])))

@@ -1,4 +1,6 @@
 import csv
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -15,10 +17,10 @@ from mvg import cli, io, rng
 from mvg import denoiser as denoiser_mod
 from mvg.cli import main
 from mvg.config import RunConfig, _merged
-from mvg.denoiser import Condition
+from mvg.denoiser import Condition, GmmDenoiser
 from mvg.errors import InvalidArgument
 from mvg.metrics import make_embedder
-from mvg.pie import PieConfig
+from mvg.pie import PieConfig, decay_probe_run, prop2_bound, step_decay_fit
 from mvg.scheduler import build_schedule
 from mvg.toydata import DomainSpec, build_domain, make_mask, render_mean
 from mvg.transition import make_clip_skeleton
@@ -761,6 +763,21 @@ class TestVideo:
             for frame, (c, j) in zip(frames, sources):
                 assert os.path.samefile(frame, run / f"clip_{c:03d}" / f"frame_{j:03d}.{suffix}")
 
+    def test_zero_stage_run_rejected_before_any_output(self, tmp_path, capsys):
+        """A run with one state has no clip: video names its run directory,
+        exits 1 and writes nothing, not even for the good run listed before it."""
+        video = {"K": 4, "gamma": 0.5, "seed": 0}
+        path = write_config(tmp_path, {"seeds": [0], "video": video})
+        empty = write_config(tmp_path, {"seeds": [1], "video": video, "pie": {"N": 0}}, "empty.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["simulate", "--config", str(empty), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["video", "--config", str(path), "--out", str(out), "--seeds", "0,1"]) == 1
+        err = capsys.readouterr().err
+        assert str(out / "seed_0001") in err and "at least two" in err, err
+        assert not list(out.glob("seed_*/clip_*")) and not list(out.glob("seed_*/video"))
+
     def test_rerun_into_same_out(self, tmp_path):
         """video twice into one out directory exits 0 both times and leaves the
         same bytes and no temporary name, also over video/ frames that are
@@ -909,6 +926,32 @@ class TestVerifyBounds:
         assert report["alpha0"] == pytest.approx(0.9)
         assert all(c["passed"] for c in report["checks"])
 
+    def test_report_matches_its_recomputation(self, tmp_path, capsys):
+        """Every figure in verify_report.json equals the one recomputed from
+        decay_probe_run, prop2_bound and step_decay_fit, and the printed lines
+        are the report's checks in order."""
+        v = {"stages": 30, "seeds": 4, "delta": 0.05, "x0_scale": 3.0, "burn_in": 4}
+        path = write_config(tmp_path, {"verify": v})
+        rc = main(["verify-bounds", "--config", str(path), "--out", str(tmp_path / "v")])
+        report = io.read_json(tmp_path / "v" / "verify_report.json")
+        sched = RunConfig.load(path).verify_schedule()
+        x0 = v["x0_scale"] * np.ones(DomainSpec().shape)
+        probes = decay_probe_run(x0, GmmDenoiser(cli.verify_model(x0.shape), sched),
+                                 Condition(0, 0.0), sched, v["stages"], range(v["seeds"]))
+        bounds = [prop2_bound(sched, probes.c1, float(c2), v["delta"]) for c2 in probes.c2_observed]
+        assert report["n_min"] == [b.n_min for b in bounds]
+        assert report["kappa"] == [b.kappa for b in bounds]
+        assert report["mean_slope"] == step_decay_fit(probes.step_deltas.mean(axis=0), v["burn_in"])
+        assert report["target_slope"] == 0.5 * math.log(sched.alpha_bars[2])
+        assert report["delta"] == v["delta"]
+        checks = report["checks"]
+        assert [c["name"] for c in checks] == ["decay_slope", "step_envelope",
+                                               "n_min_upper_bound", "drift_kappa"]
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines == [f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: {c['detail']}"
+                         for c in checks]
+        assert rc == (0 if all(c["passed"] for c in checks) else 1)
+
     def test_zero_noise_trivial_pass(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "verify": {"stages": 30, "seeds": 3,
@@ -968,3 +1011,34 @@ def test_startup_loads_no_scipy():
 def test_exports_resolve():
     assert len(set(mvg.__all__)) == len(mvg.__all__)
     assert [name for name in mvg.__all__ if not hasattr(mvg, name)] == []
+
+
+def _perfbench_module(name: str):
+    """perfbench/NAME.py loaded from its file; the benchmark is not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", REPO / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_trace_targets_resolve():
+    """Every function the benchmark's tracer wraps still exists in mvg."""
+    missing = []
+    for module, qualname in _perfbench_module("trace_cmd").TARGETS:
+        obj = importlib.import_module(f"mvg.{module}")
+        for attr in qualname.split("."):
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(f"{module}.{qualname}")
+    assert missing == []
+
+
+@pytest.mark.parametrize("config, kind", [("configs/video.json", "run"),
+                                          ("perfbench/verify.json", "verify")])
+def test_perfbench_setup_probe_runs(config, kind):
+    """The benchmark's set-up probe builds what its workloads build from the
+    names it imports (cli.verify_model, blend_conditions, RunConfig's accessors)."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run([sys.executable, "perfbench/probe.py", "setup", config, kind], cwd=REPO,
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from mvg import (Condition, GmmDenoiser, GmmModel, Mixture, PieConfig,
                  build_schedule, composite_roi, diff_heatmap,
-                 forward_diffuse, ddim_chain, pie_run, pie_stage, prop2_bound,
+                 forward_diffuse, ddim_chain, pie_run, prop2_bound,
                  step_decay_fit)
 from mvg import rng as mvg_rng
 from mvg.denoiser import mixture_logpdf
 from mvg.errors import DegenerateSchedule, InvalidArgument, ShapeMismatch
-from mvg.pie import (_row_norms, check_bound_suite, decay_probe_run, run_bound_suite,
-                     stage_step_count)
+from mvg.pie import _row_norms, check_bound_suite, decay_probe_run, stage_step_count
 from mvg.scheduler import ddim_step
 from mvg.config import RunConfig
 from tests.conftest import SOFT_DOMAIN, std_normal_denoiser
@@ -107,8 +106,8 @@ class TestPieStage:
         den = std_normal_denoiser((6, 6), sched50)
         cfg = PieConfig(N=1, gamma=0.4, beta1=0.0, beta2=1.0)
         x_prev = np.random.default_rng(2).standard_normal((6, 6))
-        (out,) = pie_stage(x_prev[None], x_prev, Condition(0), cfg, den, np.ones((6, 6)),
-                           sched50, 1, [7])
+        (traj,) = pie_run(x_prev, Condition(0), cfg, den, np.ones((6, 6)), sched50, [7])
+        out = traj.states[1]
         k = stage_step_count(cfg.gamma, sched50)
         eps = mvg_rng.normal((6, 6), 7, stage=1)
         manual = ddim_chain(forward_diffuse(x_prev, k, eps, sched50), k, den, Condition(0), sched50)
@@ -118,8 +117,8 @@ class TestPieStage:
         s = build_schedule(2, 0.1, 0.1)
         cfg = PieConfig(N=1, gamma=0.3)  # floor(0.3*2) = 0
         with pytest.raises(InvalidArgument):
-            pie_stage(np.zeros((1, 2, 2)), np.zeros((2, 2)), Condition(0), cfg,
-                      std_normal_denoiser((2, 2), s), np.ones((2, 2)), s, 1, [0])
+            pie_run(np.zeros((2, 2)), Condition(0), cfg, std_normal_denoiser((2, 2), s),
+                    np.ones((2, 2)), s, [0])
 
 
 class TestPieRun:
@@ -412,34 +411,36 @@ def small_suite():
     s = verify_schedule()
     den = std_normal_denoiser((16, 16), s)
     x0 = 10.0 * np.ones((16, 16))
-    return run_bound_suite(x0, den, Condition(0), s, n_stages=80, seeds=range(10))
+    return decay_probe_run(x0, den, Condition(0), s, n_stages=80, seeds=range(10))
+
+
+def suite_checks(probes) -> dict:
+    """check_bound_suite's checks on the verify schedule, by name."""
+    report = check_bound_suite(probes, verify_schedule(), delta=0.01, burn_in=5)
+    return {c["name"]: c for c in report["checks"]}
 
 
 class TestDecaySuite:
     def test_all_checks_pass(self, small_suite):
-        assert all(o.passed for o in check_bound_suite(small_suite))
+        assert all(c["passed"] for c in suite_checks(small_suite).values())
 
     def test_deltas_exactly_geometric(self, small_suite):
         # one fixed eps per run makes the stage map affine
-        d = small_suite.probes.step_deltas[0]
+        d = small_suite.step_deltas[0]
         ratios = d[1:] / d[:-1]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)
 
     def test_injected_delta_above_envelope_fails(self, small_suite):
-        bad_deltas = small_suite.probes.step_deltas.copy()
+        bad_deltas = small_suite.step_deltas.copy()
         bad_deltas[0, 40] *= 1e6
-        tampered = dataclasses.replace(
-            small_suite, probes=dataclasses.replace(small_suite.probes, step_deltas=bad_deltas))
-        by_name = {o.name: o for o in check_bound_suite(tampered)}
-        assert not by_name["step_envelope"].passed
+        tampered = dataclasses.replace(small_suite, step_deltas=bad_deltas)
+        assert not suite_checks(tampered)["step_envelope"]["passed"]
 
     def test_injected_drift_above_kappa_fails(self, small_suite):
-        bad_drift = small_suite.probes.drift.copy()
+        bad_drift = small_suite.drift.copy()
         bad_drift[0] += 1e4
-        tampered = dataclasses.replace(
-            small_suite, probes=dataclasses.replace(small_suite.probes, drift=bad_drift))
-        by_name = {o.name: o for o in check_bound_suite(tampered)}
-        assert not by_name["drift_kappa"].passed
+        tampered = dataclasses.replace(small_suite, drift=bad_drift)
+        assert not suite_checks(tampered)["drift_kappa"]["passed"]
 
     def test_seed_alone_equals_seed_in_batch(self):
         """Verify schedule (T=2): a seed's step deltas, drift and observed C2
@@ -478,12 +479,13 @@ class TestDecaySuite:
     def test_zero_noise_schedule_trivially_passes(self):
         s = build_schedule(2, 1e-12, 1e-12)
         den = std_normal_denoiser((16, 16), s)
-        suite = run_bound_suite(10.0 * np.ones((16, 16)), den, Condition(0), s,
-                                n_stages=30, seeds=range(3))
-        assert suite.negligible()
-        outcomes = check_bound_suite(suite)
-        assert all(o.passed for o in outcomes)
-        assert "trivially" in outcomes[0].detail
+        probes = decay_probe_run(10.0 * np.ones((16, 16)), den, Condition(0), s,
+                                 n_stages=30, seeds=range(3))
+        report = check_bound_suite(probes, s, delta=0.01, burn_in=5)
+        assert report["mean_slope"] is None
+        assert len(report["checks"]) == 4
+        for c in report["checks"]:
+            assert c["passed"] and "trivially" in c["detail"]
 
 
 def test_directionality_rises_to_plateau():
