@@ -5,12 +5,15 @@ deterministic given the config plus seeds. MVG_LOG={error,info,debug} controls
 log verbosity. simulate's and ablate's pie_run batches run in a worker pool
 under --jobs N (N >= 1). simulate cuts its seeds into contiguous blocks, at
 least N of them and none over BATCH_ROWS seeds, and runs each block as one
-pie_run. ablate makes every (sweep cell, seed) a row and runs the rows of one
-γ together, across cells, in pie_run batches of BATCH_ROWS. video reads and
-checks every requested run before it writes anything, denoises all clips of a
-run in one generate_transition call, and makes its video/ frames hard links to
-the clip frames they repeat. verify-bounds writes check_bound_suite's report
-as verify_report.json and prints one line per check.
+pie_run; each seed's run directory, deltas.csv's step deltas included, is
+written from its (N + 1, *event) states. ablate makes every (sweep cell, seed)
+a row and runs the rows of one γ together, across cells, in pie_run batches
+of BATCH_ROWS. video reads and checks every requested run before it writes
+anything, denoises all clips of a run in one generate_transition call, and
+makes its video/ frames hard links to the clip frames they repeat;
+video/manifest.json reads "complete" only once every link is made.
+verify-bounds writes check_bound_suite's report as verify_report.json and
+prints one line per check.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from . import __version__, io, metrics as metrics_mod, rng
 from .config import RunConfig
 from .denoiser import Condition, GmmDenoiser, GmmModel, Mixture
 from .errors import InvalidArgument
-from .pie import (Trajectory, check_bound_suite, decay_probe_run, diff_heatmap, pie_run,
+from .pie import (_row_norms, check_bound_suite, decay_probe_run, diff_heatmap, pie_run,
                   stage_step_count)
 from .transition import concat_clips, generate_transition, make_clip_skeleton
 
@@ -101,7 +104,9 @@ def _link_frames(out_dir: Path, prefix: str, sources: list[Path]):
                 os.link(src.with_name(src.name + suffix), tmp)
 
 
-def _write_run_dir(run_dir: Path, traj: Trajectory, cfg: RunConfig, seed: int):
+def _write_run_dir(run_dir: Path, states: np.ndarray, cfg: RunConfig, seed: int):
+    """One run directory from the run's (N + 1, *event) states; deltas.csv's
+    step deltas are computed here, and the manifest is marked complete last."""
     run_dir.mkdir(parents=True, exist_ok=True)
     model = cfg.model()
     manifest = {
@@ -113,18 +118,19 @@ def _write_run_dir(run_dir: Path, traj: Trajectory, cfg: RunConfig, seed: int):
         "pie": {**cfg.pie_config().to_dict(), "seed": seed},
         "domain": cfg.domain().to_dict(),
         "model": model.to_dict(),
-        "n_states": traj.N + 1,
-        "states": [f"state_{n:03d}.mvgt" for n in range(traj.N + 1)],
+        "n_states": len(states),
+        "states": [f"state_{n:03d}.mvgt" for n in range(len(states))],
     }
     io.write_json(run_dir / "manifest.json", manifest)
 
-    _write_frames(run_dir, "state", traj.states)
+    _write_frames(run_dir, "state", states)
     _write_frames(run_dir, "heatmap",
-                  [diff_heatmap(b, a) for a, b in zip(traj.states, traj.states[1:])], first=1)
+                  [diff_heatmap(b, a) for a, b in zip(states, states[1:])], first=1)
+    deltas = _row_norms(states[1:] - states[:-1])
     io.write_csv(run_dir / "deltas.csv", ["stage", "delta"],
-                 [(n + 1, repr(float(d))) for n, d in enumerate(traj.step_deltas)])
+                 [(n + 1, repr(float(d))) for n, d in enumerate(deltas)])
 
-    stored = [io.stored(state) for state in traj.states]
+    stored = [io.stored(state) for state in states]
     rows = _write_metrics(run_dir, seed, stored, model, cfg.conditions()[1], cfg.embedder(),
                           _load_reference_states(cfg))
 
@@ -145,12 +151,12 @@ def _seed_blocks(seeds: list[int], jobs: int) -> list[list[int]]:
 def _simulate_block(cfg: RunConfig, seeds: list[int], out_dir: str):
     """One pie_run over a block of seeds, then each seed's run directory; a
     row's results do not depend on its batch-mates."""
-    trajs = pie_run(cfg.start_image(), cfg.conditions()[1], cfg.pie_config(),
-                    cfg.denoiser(), cfg.mask(), cfg.schedule(), seeds)
+    runs = pie_run(cfg.start_image(), cfg.conditions()[1], cfg.pie_config(),
+                   cfg.denoiser(), cfg.mask(), cfg.schedule(), seeds)
     all_rows = []
-    for seed, traj in zip(seeds, trajs):
-        all_rows.append(_write_run_dir(Path(out_dir) / f"seed_{seed:04d}", traj, cfg, seed))
-        log.info("simulate seed=%d done (%d stages)", seed, traj.N)
+    for seed, states in zip(seeds, runs):
+        all_rows.append(_write_run_dir(Path(out_dir) / f"seed_{seed:04d}", states, cfg, seed))
+        log.info("simulate seed=%d done (%d stages)", seed, len(states) - 1)
     return all_rows
 
 
@@ -184,12 +190,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seeds: list[int], jobs: int = 1)
 def _read_states(run_dir: Path) -> list[np.ndarray]:
     manifest = io.read_json(run_dir / "manifest.json")
     if manifest.get("status") != "complete":
-        raise InvalidStateDir(f"{run_dir} is marked {manifest.get('status')!r}")
+        raise InvalidArgument(f"{run_dir} is marked {manifest.get('status')!r}")
     return [io.read_tensor(run_dir / f) for f in manifest["states"]]
-
-
-class InvalidStateDir(RuntimeError):
-    pass
 
 
 def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
@@ -215,28 +217,32 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
         for n, (clip, tag) in enumerate(zip(clips, tags), start=1):
             clip_dir = run_dir / f"clip_{n:03d}"
             clip_dir.mkdir(exist_ok=True)
-            _write_frames(clip_dir, "frame", clip.frames)
+            _write_frames(clip_dir, "frame", clip)
             io.write_json(clip_dir / "manifest.json",
-                          {"K": clip.K, "seed": seed, "tag": list(tag),
+                          {"K": len(clip), "seed": seed, "tag": list(tag),
                            "start_state": n - 1, "end_state": n})
             clip_dirs.append(clip_dir)
-        video_clip = concat_clips(clips)
+        n_frames = len(concat_clips(clips))
         # the video is the first clip's frames, then each later clip's past its
         # seam frame, which concat_clips has checked equals the one before it
         sources = [clip_dir / f"frame_{j:03d}" for c, clip_dir in enumerate(clip_dirs)
                    for j in range(0 if c == 0 else 1, K)]
-        if len(sources) != video_clip.K:
-            raise AssertionError(f"{len(sources)} frame files for {video_clip.K} video frames")
+        if len(sources) != n_frames:
+            raise AssertionError(f"{len(sources)} frame files for {n_frames} video frames")
         video_dir = run_dir / "video"
         video_dir.mkdir(exist_ok=True)
-        _link_frames(video_dir, "frame", sources)
-        io.write_json(video_dir / "manifest.json", {
-            "frames": video_clip.K,
+        manifest = {
+            "status": "incomplete",
+            "frames": n_frames,
             "clips": len(clips),
             "per_clip_K": K,
             "expected_frames": K * len(clips) - (len(clips) - 1),
-        })
-        print(f"video: seed {seed}: {video_clip.K} frames -> {video_dir}")
+        }
+        io.write_json(video_dir / "manifest.json", manifest)
+        _link_frames(video_dir, "frame", sources)
+        manifest["status"] = "complete"
+        io.write_json(video_dir / "manifest.json", manifest)
+        print(f"video: seed {seed}: {n_frames} frames -> {video_dir}")
     return 0
 
 
@@ -247,11 +253,11 @@ def _ablate_batch(cfg: RunConfig, rows: list[tuple]):
     _, y_target = cfg.conditions()
     emb = cfg.embedder()
     pcs, seeds = zip(*rows)
-    trajs = pie_run(cfg.start_image(), y_target, pcs, GmmDenoiser(model, sched), cfg.mask(),
-                    sched, seeds)
+    runs = pie_run(cfg.start_image(), y_target, pcs, GmmDenoiser(model, sched), cfg.mask(),
+                   sched, seeds)
     # copy the terminal state so the batch's state table is freed on return
-    return [(traj.states[-1].copy(), metrics_mod.confidence(traj.states[-1], y_target, model),
-             metrics_mod.clip_i(traj.states, emb)) for traj in trajs]
+    return [(states[-1].copy(), metrics_mod.confidence(states[-1], y_target, model),
+             metrics_mod.clip_i(states, emb)) for states in runs]
 
 
 def cmd_ablate(cfg: RunConfig, out_dir: Path, seeds: list[int], jobs: int = 1) -> int:

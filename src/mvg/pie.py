@@ -12,16 +12,17 @@ The recursions (``pie_run``, ``decay_probe_run``) take a list of seeds and
 run them as one (B, *event) batch through the engine; row b's noise comes from
 its own stream (seeds[b], stage), so a seed's results do not depend on its
 batch-mates. ``pie_run``'s rows may carry their own N, β₁ and β₂ (one γ per
-batch); it keeps every state, a (B, max N + 1, *event) table.
+batch); it keeps every state in one (B, max N + 1, *event) table and returns
+row b as its (N_b + 1, *event) view.
 ``decay_probe_run`` keeps only what the decay checks read: per probe the step
 deltas, the observed C₂ and the drift ‖x_N − x₀‖, O(B) images at any stage.
 ``check_bound_suite`` turns those probes into the verify_report.json dict,
 bounds and checks alike.
 ``composite_roi`` blends one image or a (B, *plane) batch against one mask,
 with β₁, β₂ shared or one per row.
-Every L2 norm of an image (step deltas, C₁, the observed C₂, the drift) goes
-through ``_row_norms``, which takes a batch of rows and equals a per-row
-``np.linalg.norm`` bit for bit, so batching moves no output.
+Every L2 norm of an image (a run's or a probe's step deltas, C₁, the observed
+C₂, the drift) goes through ``_row_norms``, which takes a batch of rows and
+equals a per-row ``np.linalg.norm`` bit for bit, so batching moves no output.
 """
 
 from __future__ import annotations
@@ -57,33 +58,6 @@ class PieConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass
-class Trajectory:
-    """Ordered edit states x⁰₀..x⁰_N plus per-stage L2 step deltas."""
-
-    states: list[np.ndarray]
-    step_deltas: np.ndarray
-
-    def __post_init__(self):
-        if len(self.step_deltas) != len(self.states) - 1:
-            raise InvalidArgument("need one delta per stage")
-        d = np.asarray(self.step_deltas, dtype=np.float64)
-        if d.size and (not np.all(np.isfinite(d)) or np.any(d < 0)):
-            raise InvalidArgument("step deltas must be finite and non-negative")
-        self.step_deltas = d
-
-    @classmethod
-    def from_states(cls, states) -> "Trajectory":
-        """Trajectory whose step deltas are the L2 norms between consecutive
-        states, given as a list of images or an (N+1, *event) array."""
-        table = np.asarray(states, dtype=np.float64)  # a state-table row is not copied
-        return cls(states=list(states), step_deltas=_row_norms(table[1:] - table[:-1]))
-
-    @property
-    def N(self) -> int:
-        return len(self.states) - 1
 
 
 @dataclass(frozen=True)
@@ -191,11 +165,12 @@ def _noise(shape, seeds, stage: int) -> np.ndarray:
     return np.stack([rng.normal(shape, seed, stage=stage) for seed in seeds])
 
 
-def pie_run(x0, y_target, cfg, d, m, s: NoiseSchedule, seeds) -> list[Trajectory]:
+def pie_run(x0, y_target, cfg, d, m, s: NoiseSchedule, seeds) -> list[np.ndarray]:
     """Run the edit recursion from x0 once per seed, all seeds as one batch,
     conditioning every stage on y_target. cfg is one PieConfig for every row,
     or one per row: rows then carry their own N, β₁ and β₂ but share γ, and
-    row b retires after its N_b stages, so its Trajectory has N_b + 1 states.
+    row b retires after its N_b stages. Returns per seed its states x⁰₀..x⁰_N_b
+    as an (N_b + 1, *event) array, a view of the batch's one state table.
 
     Stage n takes the live rows, noises row b to k = ⌊γT⌋ from stream
     (seeds[b], n), runs the reverse chain under y_target and ROI-composites
@@ -216,9 +191,7 @@ def pie_run(x0, y_target, cfg, d, m, s: NoiseSchedule, seeds) -> list[Trajectory
         states[live, n] = composite_roi(x_gen, np.broadcast_to(x0, x_gen.shape), m,
                                         beta1[live], beta2[live])
         del x_k, x_gen  # no stage's temporaries outlive it
-    # each Trajectory's states are views into the table; differencing row by
-    # row keeps the temporary to one row, not a second table
-    return [Trajectory.from_states(row[:N + 1]) for row, N in zip(states, n_stages)]
+    return [row[:N + 1] for row, N in zip(states, n_stages)]
 
 
 def step_decay_fit(deltas, burn_in: int) -> float:

@@ -140,8 +140,8 @@ def test_c06_mask_identity(default_model, sched50):
     x0 = sample(default_model, Condition(0, 0.0), 1, seed=55)[0]
     bad = 0
     cfg = PieConfig(N=10, gamma=0.6, beta1=0.0, beta2=0.75)
-    for traj in pie_run(x0, Condition(1, 1.0), cfg, den, mask, sched50, range(10)):
-        for state in traj.states:
+    for states in pie_run(x0, Condition(1, 1.0), cfg, den, mask, sched50, range(10)):
+        for state in states:
             bad += not np.array_equal(state[outside], x0[outside])
     report("C6 mask-identity", bad == 0,
            f"outside-ROI pixels bit-identical across 10-stage runs, 10 seeds ({bad} violations)")
@@ -183,14 +183,14 @@ def test_c08_transition_contracts():
         x_end = sample(model, yb, 1, seed=500 + case)[0]
         skel = make_clip_skeleton(x_start, x_end, 8, seed=case)
         (clip,) = generate_transition([skel], mask, den, sched, ya, yb, 0.6)
-        endpoint_bad += not (np.array_equal(clip.frames[0], x_start)
-                             and np.array_equal(clip.frames[-1], x_end))
+        endpoint_bad += not (np.array_equal(clip[0], x_start)
+                             and np.array_equal(clip[-1], x_end))
         avg = 0.5 * (x_start + x_end)
-        for j in range(1, clip.K - 1):
-            roi_bad += not np.array_equal(clip.frames[j][outside], avg[outside])
+        for j in range(1, len(clip) - 1):
+            roi_bad += not np.array_equal(clip[j][outside], avg[outside])
         span = np.linalg.norm(x_end - x_start)
-        for j in range(1, clip.K - 2):
-            step = np.linalg.norm(clip.frames[j + 1] - clip.frames[j])
+        for j in range(1, len(clip) - 2):
+            step = np.linalg.norm(clip[j + 1] - clip[j])
             smooth_bad += step > span + 3 * SIGMA_GEN_L2
     report("C8 transition-contracts",
            endpoint_bad == 0 and roi_bad == 0 and smooth_bad == 0,

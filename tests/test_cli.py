@@ -20,7 +20,7 @@ from mvg.config import RunConfig, _merged
 from mvg.denoiser import Condition, GmmDenoiser
 from mvg.errors import InvalidArgument
 from mvg.metrics import make_embedder
-from mvg.pie import PieConfig, decay_probe_run, prop2_bound, step_decay_fit
+from mvg.pie import PieConfig, decay_probe_run, pie_run, prop2_bound, step_decay_fit
 from mvg.scheduler import build_schedule
 from mvg.toydata import DomainSpec, build_domain, make_mask, render_mean
 from mvg.transition import make_clip_skeleton
@@ -644,6 +644,21 @@ class TestSimulate:
         assert [r[1] for r in rows] == [str(n) for n in range(4)]
         assert rows[0][3] == "1.0"  # origin cosine
 
+    def test_deltas_are_norms_of_pie_run_steps(self, tmp_path):
+        """deltas.csv's delta column is, exactly, the repr of ‖x_n − x_{n−1}‖
+        over consecutive states of the seed's pie_run, for seeds run in a pool."""
+        path = write_config(tmp_path, {"seeds": [0, 1, 2]})  # N = 3
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out), "--jobs", "2"]) == 0
+        cfg = RunConfig.load(path)
+        for seed in (0, 1, 2):
+            (states,) = pie_run(cfg.start_image(), cfg.conditions()[1], cfg.pie_config(),
+                                cfg.denoiser(), cfg.mask(), cfg.schedule(), [seed])
+            _, rows = read_csv(out / f"seed_{seed:04d}" / "deltas.csv")
+            expected = [repr(float(np.linalg.norm(b - a))) for a, b in zip(states, states[1:])]
+            assert len(expected) == 3
+            assert [r[1] for r in rows] == expected, seed
+
     def test_jobs_pool_matches_inline(self, tmp_path):
         path = write_config(tmp_path, {"seeds": [0, 1, 2]})
         main(["simulate", "--config", str(path), "--out", str(tmp_path / "inline")])
@@ -729,7 +744,7 @@ class TestVideo:
 
         def spy(x_start, x_end, K, seed, tag=()):
             skel = make_clip_skeleton(x_start, x_end, K, seed, tag=tag)
-            skeletons.append((seed, skel.frames[1:-1]))
+            skeletons.append((seed, skel[1:-1]))
             return skel
 
         monkeypatch.setattr(cli, "make_clip_skeleton", spy)
@@ -845,6 +860,27 @@ class TestVideo:
         assert len(rows) == len(seeds) * k
         assert sum(rows) == len(seeds) * N * (K - 2) * k
 
+    def test_manifest_incomplete_until_frames_linked(self, tmp_path, monkeypatch, capsys):
+        """A video run cut short while linking its frames, fresh or over a
+        finished one, leaves no video/manifest.json that reads complete."""
+        path = write_config(tmp_path, {"seeds": [0], "video": {"K": 4, "gamma": 0.5, "seed": 0}})
+        fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+        for out in (fresh, rerun):
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["video", "--config", str(path), "--out", str(rerun)]) == 0
+        link_frames = cli._link_frames
+
+        def cut_short(out_dir, prefix, sources):
+            link_frames(out_dir, prefix, sources[:3])
+            raise OSError("cut short")
+
+        monkeypatch.setattr(cli, "_link_frames", cut_short)
+        for out in (fresh, rerun):
+            assert main(["video", "--config", str(path), "--out", str(out)]) == 1
+            assert "cut short" in capsys.readouterr().err
+            manifest = io.read_json(out / "seed_0000" / "video" / "manifest.json")
+            assert manifest.get("status", "complete") != "complete", out
+
     def test_missing_trajectory_fails(self, tmp_path):
         path = write_config(tmp_path, {"seeds": [0]})
         assert main(["video", "--config", str(path), "--out", str(tmp_path / "nowhere")]) == 1
@@ -893,6 +929,24 @@ class TestAblate:
         for name in ("ablate_gamma.csv", "ablate_steps.csv", "ablate_beta.csv"):
             whole = (tmp_path / "whole" / name).read_bytes()
             assert whole == (tmp_path / "pairs" / name).read_bytes(), name
+
+    def test_terminal_states_own_their_data(self, tmp_path):
+        """_ablate_batch returns each row's terminal state as a copy that shares
+        no memory with another row's, so the batch's state table is freed on
+        return; the copies equal pie_run's terminal states."""
+        cfg = RunConfig.load(write_config(tmp_path))
+        base = cfg.pie_config()
+        rows = [(PieConfig(N=n, gamma=base.gamma), seed) for n in (3, 1) for seed in (0, 1)]
+        out = cli._ablate_batch(cfg, rows)
+        terminal = [t for t, _conf, _clip_i in out]
+        for i, t in enumerate(terminal):
+            assert t.base is None, i
+            assert not any(np.shares_memory(t, u) for u in terminal[i + 1:]), i
+        pcs, seeds = zip(*rows)
+        runs = pie_run(cfg.start_image(), cfg.conditions()[1], list(pcs), cfg.denoiser(),
+                       cfg.mask(), cfg.schedule(), list(seeds))
+        for t, states in zip(terminal, runs):
+            assert np.array_equal(t, states[-1])
 
     def test_denoiser_rows_match_closed_form(self, tmp_path, monkeypatch):
         """ablate evaluates each (cell, seed) row's stages in full: the denoiser

@@ -106,8 +106,8 @@ class TestPieStage:
         den = std_normal_denoiser((6, 6), sched50)
         cfg = PieConfig(N=1, gamma=0.4, beta1=0.0, beta2=1.0)
         x_prev = np.random.default_rng(2).standard_normal((6, 6))
-        (traj,) = pie_run(x_prev, Condition(0), cfg, den, np.ones((6, 6)), sched50, [7])
-        out = traj.states[1]
+        (states,) = pie_run(x_prev, Condition(0), cfg, den, np.ones((6, 6)), sched50, [7])
+        out = states[1]
         k = stage_step_count(cfg.gamma, sched50)
         eps = mvg_rng.normal((6, 6), 7, stage=1)
         manual = ddim_chain(forward_diffuse(x_prev, k, eps, sched50), k, den, Condition(0), sched50)
@@ -132,17 +132,17 @@ class TestPieRun:
     def test_n_zero_single_state(self, sched50):
         den = std_normal_denoiser((3, 3), sched50)
         x0 = np.ones((3, 3))
-        (traj,) = pie_run(x0, Condition(0), PieConfig(N=0), den, np.ones((3, 3)), sched50, [0])
-        assert traj.N == 0 and len(traj.states) == 1 and traj.step_deltas.size == 0
-        assert np.array_equal(traj.states[0], x0)
+        (states,) = pie_run(x0, Condition(0), PieConfig(N=0), den, np.ones((3, 3)), sched50, [0])
+        assert states.shape == (1, 3, 3)
+        assert np.array_equal(states[0], x0)
 
     def test_zero_noise_schedule_constant_trajectory(self):
         s = build_schedule(5, 1e-12, 1e-12)
         den = std_normal_denoiser((4, 4), s)
         x0 = np.random.default_rng(3).standard_normal((4, 4))
         cfg = PieConfig(N=10, gamma=1.0, beta1=0.0, beta2=1.0)
-        (traj,) = pie_run(x0, Condition(0), cfg, den, np.ones((4, 4)), s, [1])
-        for state in traj.states:
+        (states,) = pie_run(x0, Condition(0), cfg, den, np.ones((4, 4)), s, [1])
+        for state in states:
             np.testing.assert_allclose(state, x0, atol=1e-4)
 
     def test_scalar_affine_recursion_monte_carlo(self):
@@ -161,8 +161,8 @@ class TestPieRun:
         q = s2 * np.sqrt(a * (1 - a)) / V
 
         cfg = PieConfig(N=N, gamma=1.0, beta1=0.0, beta2=1.0)
-        trajs = pie_run(np.array([x0]), Condition(0), cfg, den, np.ones(1), s, range(n_seeds))
-        states = np.array([[st_[0] for st_ in traj.states] for traj in trajs])
+        states = np.array(pie_run(np.array([x0]), Condition(0), cfg, den, np.ones(1), s,
+                                  range(n_seeds)))[..., 0]
 
         m = x0
         for n in range(1, N + 1):
@@ -178,9 +178,9 @@ class TestPieRun:
         den = GmmDenoiser(default_model, sched50)
         x0 = np.random.default_rng(9).uniform(0, 1, spec.shape)
         cfg = PieConfig(N=10, gamma=0.6, beta1=0.0, beta2=0.75)
-        for traj in pie_run(x0, Condition(1, 1.0), cfg, den, mask, sched50, range(5)):
+        for states in pie_run(x0, Condition(1, 1.0), cfg, den, mask, sched50, range(5)):
             outside = mask == 0.0
-            for state in traj.states:
+            for state in states:
                 assert np.array_equal(state[outside], x0[outside])
 
     def test_deterministic_bitwise(self, default_model, sched50):
@@ -189,7 +189,7 @@ class TestPieRun:
         cfg = PieConfig(N=3, gamma=0.5)
         (t1,) = pie_run(x0, Condition(1, 1.0), cfg, den, np.ones((16, 16)), sched50, [42])
         (t2,) = pie_run(x0, Condition(1, 1.0), cfg, den, np.ones((16, 16)), sched50, [42])
-        for a, b in zip(t1.states, t2.states):
+        for a, b in zip(t1, t2):
             assert np.array_equal(a, b)
 
     def test_seed_alone_equals_seed_in_batch(self, default_model, sched50):
@@ -205,9 +205,8 @@ class TestPieRun:
         batch = pie_run(x0, Condition(1, 1.0), cfg, den, mask, sched50, range(300))
         for seed in (0, 1, 137, 299):
             (alone,) = pie_run(x0, Condition(1, 1.0), cfg, den, mask, sched50, [seed])
-            for a, b in zip(alone.states, batch[seed].states):
+            for a, b in zip(alone, batch[seed]):
                 assert np.array_equal(a, b), seed
-            assert np.array_equal(alone.step_deltas, batch[seed].step_deltas)
 
     def test_rows_carry_their_own_config(self, default_model, sched50):
         """Rows with mixed N, β₁ and β₂ (one γ) each equal the row run alone with
@@ -235,12 +234,11 @@ class TestPieRun:
         batch = pie_run(x0, y, cfgs, Counting(), mask, sched50, seeds)
         assert Counting.rows == sum(c.N for c in cfgs) * math.floor(0.4 * sched50.T)
         den = GmmDenoiser(default_model, sched50)
-        for cfg, seed, traj in zip(cfgs, seeds, batch):
+        for cfg, seed, states in zip(cfgs, seeds, batch):
             (alone,) = pie_run(x0, y, cfg, den, mask, sched50, [seed])
-            assert len(traj.states) == cfg.N + 1 == len(alone.states)
-            for a, b in zip(alone.states, traj.states):
+            assert len(states) == cfg.N + 1 == len(alone)
+            for a, b in zip(alone, states):
                 assert np.array_equal(a, b), (cfg, seed)
-            assert np.array_equal(alone.step_deltas, traj.step_deltas)
 
     def test_rows_with_differing_gamma_rejected(self, sched50):
         den = std_normal_denoiser((4, 4), sched50)
@@ -501,8 +499,8 @@ def test_directionality_rises_to_plateau():
     _, y = cfg.conditions()
     x0 = cfg.start_image()
     mix = model.mixture(y)
-    curves = [[mixture_logpdf(s_, mix) for s_ in traj.states]
-              for traj in pie_run(x0, y, PieConfig(N=10, gamma=0.6), den, mask, sched, range(50))]
+    curves = [[mixture_logpdf(s_, mix) for s_ in states]
+              for states in pie_run(x0, y, PieConfig(N=10, gamma=0.6), den, mask, sched, range(50))]
     m = np.mean(curves, axis=0)
     # plateau stage: first stage inside the stationary band (final level minus
     # twice the stationary wiggle); the curve must rise monotonically to it

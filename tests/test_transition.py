@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mvg import (Condition, GmmDenoiser, GmmModel, Mixture, VideoClip,
-                 concat_clips, generate_transition, make_clip_skeleton)
+from mvg import (Condition, GmmDenoiser, GmmModel, Mixture, concat_clips,
+                 generate_transition, make_clip_skeleton)
 from mvg.config import RunConfig
 from mvg.denoiser import blend_conditions
 from mvg.errors import InvalidArgument, SeamMismatch, ShapeMismatch
@@ -30,23 +30,23 @@ class TestSkeleton:
     def test_k2_no_noise_frames(self):
         a, b = np.zeros((3, 3)), np.ones((3, 3))
         clip = make_clip_skeleton(a, b, 2, seed=0)
-        assert clip.K == 2
-        assert np.array_equal(clip.frames[0], a) and np.array_equal(clip.frames[1], b)
+        assert len(clip) == 2
+        assert np.array_equal(clip[0], a) and np.array_equal(clip[1], b)
 
     def test_k4_structure(self):
         a, b = np.zeros((3, 3)), np.ones((3, 3))
         clip = make_clip_skeleton(a, b, 4, seed=5)
-        assert np.array_equal(clip.frames[0], a) and np.array_equal(clip.frames[3], b)
+        assert np.array_equal(clip[0], a) and np.array_equal(clip[3], b)
         for j in (1, 2):  # unit-normal middles, not the endpoints
-            assert 0.1 < clip.frames[j].std() < 3.0
+            assert 0.1 < clip[j].std() < 3.0
 
     def test_same_seed_bit_identical(self):
         a, b = np.zeros((4, 4)), np.ones((4, 4))
         c1 = make_clip_skeleton(a, b, 6, seed=9)
         c2 = make_clip_skeleton(a, b, 6, seed=9)
-        assert np.array_equal(c1.frames, c2.frames)
+        assert np.array_equal(c1, c2)
         c3 = make_clip_skeleton(a, b, 6, seed=10)
-        assert not np.array_equal(c1.frames, c3.frames)
+        assert not np.array_equal(c1, c3)
 
     def test_k_below_two_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -67,12 +67,12 @@ class TestGenerateTransition:
         mask[4:12, 4:12] = 1.0
         skel = make_clip_skeleton(x_start, x_end, 6, seed=3)
         (clip,) = generate_transition([skel], mask, den, sched50, Condition(0), Condition(0), 0.6)
-        assert np.array_equal(clip.frames[0], x_start)
-        assert np.array_equal(clip.frames[-1], x_end)
+        assert np.array_equal(clip[0], x_start)
+        assert np.array_equal(clip[-1], x_end)
         avg = 0.5 * (x_start + x_end)
         outside = mask == 0.0
-        for j in range(1, clip.K - 1):
-            assert np.array_equal(clip.frames[j][outside], avg[outside])
+        for j in range(1, len(clip) - 1):
+            assert np.array_equal(clip[j][outside], avg[outside])
 
     def test_fixed_point_deviation_within_two_sigma(self, sched50):
         u, den = fixed_point_setup(sched50)
@@ -82,7 +82,7 @@ class TestGenerateTransition:
             skel = make_clip_skeleton(u, u, 8, seed=seed)
             (clip,) = generate_transition([skel], mask, den, sched50, Condition(0), Condition(0), 0.6)
             for j in range(1, 7):
-                devs.append(np.sqrt(np.mean((clip.frames[j] - u) ** 2)))
+                devs.append(np.sqrt(np.mean((clip[j] - u) ** 2)))
         assert np.mean(devs) <= 2 * SIGMA_GEN_RMS
 
     def test_deterministic_under_seed(self, sched50):
@@ -90,7 +90,7 @@ class TestGenerateTransition:
         skel = make_clip_skeleton(u, u + 0.1, 5, seed=21)
         (c1,) = generate_transition([skel], np.ones(u.shape), den, sched50, Condition(0), Condition(0), 0.5)
         (c2,) = generate_transition([skel], np.ones(u.shape), den, sched50, Condition(0), Condition(0), 0.5)
-        assert np.array_equal(c1.frames, c2.frames)
+        assert np.array_equal(c1, c2)
 
     def test_invalid_gamma(self, sched50):
         u, den = fixed_point_setup(sched50)
@@ -117,13 +117,13 @@ class TestGenerateTransition:
             skel = make_clip_skeleton(x_start, x_end, K, seed=4)
             (clip,) = generate_transition([skel], mask, den, sched, y_start, y_end, gamma)
             avg = 0.5 * (x_start + x_end)
-            assert np.array_equal(clip.frames[0], x_start)
-            assert np.array_equal(clip.frames[-1], x_end)
+            assert np.array_equal(clip[0], x_start)
+            assert np.array_equal(clip[-1], x_end)
             for j in range(1, K - 1):
                 y_j = blend_conditions(y_start, y_end, j / (K - 1))
-                expected = composite_roi(ddim_chain(skel.frames[j], k, den, y_j, sched),
+                expected = composite_roi(ddim_chain(skel[j], k, den, y_j, sched),
                                          avg, mask, 0.0, 1.0)
-                assert np.array_equal(clip.frames[j], expected), (y_start, y_end, j)
+                assert np.array_equal(clip[j], expected), (y_start, y_end, j)
 
     def test_smoothness_bound_on_domain_clips(self):
         """Adjacent middle frames stay within the endpoint distance plus the
@@ -142,8 +142,8 @@ class TestGenerateTransition:
             skel = make_clip_skeleton(x_start, x_end, 8, seed=case)
             (clip,) = generate_transition([skel], mask, den, sched, ya, yb, 0.6)
             span = np.linalg.norm(x_end - x_start)
-            for j in range(1, clip.K - 2):
-                step = np.linalg.norm(clip.frames[j + 1] - clip.frames[j])
+            for j in range(1, len(clip) - 2):
+                step = np.linalg.norm(clip[j + 1] - clip[j])
                 assert step <= span + 3 * SIGMA_GEN_L2
 
 
@@ -186,11 +186,11 @@ class TestGenerateTransition:
         den = GmmDenoiser(model, sched)
         for skel, (a, b), clip in zip(skels, ys, clips):
             (alone,) = generate_transition([skel], mask, den, sched, a, b, gamma)
-            assert np.array_equal(clip.frames, alone.frames)
-        stack = np.stack([skel.frames for skel in skels])
+            assert np.array_equal(clip, alone)
+        stack = np.stack(skels)
         from_stack = generate_transition(stack, mask, den, sched, y_start, y_end, gamma)
         for clip, twin in zip(clips, from_stack):
-            assert np.array_equal(clip.frames, twin.frames)
+            assert np.array_equal(clip, twin)
 
     def test_skeletons_must_agree(self, sched50):
         u, den = fixed_point_setup(sched50)
@@ -208,37 +208,47 @@ class TestGenerateTransition:
 
 class TestConcat:
     def test_single_clip_unchanged(self):
-        clip = VideoClip(np.zeros((3, 2, 2)))
+        clip = np.zeros((3, 2, 2))
         assert concat_clips([clip]) is clip
 
     def test_two_clips_drop_seam(self):
         a, b, c = np.zeros((2, 2)), np.ones((2, 2)), 2 * np.ones((2, 2))
-        out = concat_clips([VideoClip(np.stack([a, b])), VideoClip(np.stack([b, c]))])
-        assert out.K == 3
-        np.testing.assert_array_equal(out.frames, np.stack([a, b, c]))
+        out = concat_clips([np.stack([a, b]), np.stack([b, c])])
+        assert len(out) == 3
+        np.testing.assert_array_equal(out, np.stack([a, b, c]))
 
     def test_seam_mismatch_names_pair(self):
         a, b, c = np.zeros((2, 2)), np.ones((2, 2)), 2 * np.ones((2, 2))
         with pytest.raises(SeamMismatch, match="clip 0 .* clip 1"):
-            concat_clips([VideoClip(np.stack([a, b])), VideoClip(np.stack([b + 1e-3, c]))])
+            concat_clips([np.stack([a, b]), np.stack([b + 1e-3, c])])
 
     def test_frame_count_accounting(self):
         clips = []
         prev = np.zeros((2, 2))
         for i in range(4):
             nxt = np.full((2, 2), float(i + 1))
-            clips.append(VideoClip(np.stack([prev, 0.5 * (prev + nxt), nxt])))
+            clips.append(np.stack([prev, 0.5 * (prev + nxt), nxt]))
             prev = nxt
         out = concat_clips(clips)
-        assert out.K == 3 * 4 - 3
+        assert len(out) == 3 * 4 - 3
 
     def test_heterogeneous_shapes_rejected(self):
         with pytest.raises(ShapeMismatch):
-            concat_clips([VideoClip(np.zeros((2, 2, 2))), VideoClip(np.zeros((2, 3, 3)))])
+            concat_clips([np.zeros((2, 2, 2)), np.zeros((2, 3, 3))])
 
 
-def test_videoclip_validation():
-    with pytest.raises(InvalidArgument):
-        VideoClip(np.zeros((1, 4, 4)))
-    with pytest.raises(InvalidArgument):
-        VideoClip(np.full((3, 2, 2), np.nan))
+def test_videoclip_validation(sched50):
+    """A clip of one frame, or with a non-finite frame, is rejected where it
+    enters: as a generate_transition skeleton (listed or stacked) and as a
+    concat_clips clip. Two all-NaN clips would pass the seam test alone, as
+    their gap is NaN."""
+    _, den = fixed_point_setup(sched50)
+    y = Condition(0)
+    for bad, why in ((np.zeros((1, 4, 4)), "two frames"), (np.full((3, 2, 2), np.nan), "finite")):
+        mask = np.ones(bad.shape[1:])
+        for skels in ([bad], bad[None]):
+            with pytest.raises(InvalidArgument, match=why):
+                generate_transition(skels, mask, den, sched50, y, y, 0.6)
+        for clips in ([bad], [bad, bad]):
+            with pytest.raises(InvalidArgument, match=why):
+                concat_clips(clips)
