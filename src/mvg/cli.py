@@ -10,8 +10,8 @@ written from its (N + 1, *event) states. ablate makes every (sweep cell, seed)
 a row and runs the rows of one γ together, across cells, in pie_run batches
 of BATCH_ROWS. video reads and checks every requested run before it writes
 anything, denoises all clips of a run in one generate_transition call, and
-makes its video/ frames hard links to the clip frames they repeat;
-video/manifest.json reads "complete" only once every link is made.
+writes the concatenated frames once, into video/; video/manifest.json reads
+"complete" only once every frame is written.
 verify-bounds writes check_bound_suite's report as verify_report.json and
 prints one line per check.
 """
@@ -24,7 +24,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +80,8 @@ def _write_metrics(run_dir: Path, seed: int, states, model, y_target, embedder, 
 def _map(fn, args: list[tuple], jobs: int) -> list:
     """fn over argument tuples, in order; in a worker pool when jobs > 1."""
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, *zip(*args)))
     return [fn(*a) for a in args]
@@ -91,17 +92,6 @@ def _write_frames(out_dir: Path, prefix: str, frames, first: int = 0):
     for n, frame in enumerate(frames, start=first):
         io.write_tensor(out_dir / f"{prefix}_{n:03d}.mvgt", frame)
         io.write_pgm(out_dir / f"{prefix}_{n:03d}.pgm", frame)
-
-
-def _link_frames(out_dir: Path, prefix: str, sources: list[Path]):
-    """Make out_dir/prefix_NNN.mvgt and .pgm hard links to the frame files
-    sources[NNN] + .mvgt and .pgm. Each link is made under a temporary name and
-    renamed onto its final one, so a rerun replaces what is there and a crash
-    leaves no partial file under a final name."""
-    for n, src in enumerate(sources):
-        for suffix in (".mvgt", ".pgm"):
-            with io.replacing(out_dir / f"{prefix}_{n:03d}{suffix}") as tmp:
-                os.link(src.with_name(src.name + suffix), tmp)
 
 
 def _write_run_dir(run_dir: Path, states: np.ndarray, cfg: RunConfig, seed: int):
@@ -213,36 +203,25 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
         skels = [make_clip_skeleton(states[n - 1], states[n], K, seed, tag=tag)
                  for n, tag in enumerate(tags, start=1)]
         clips = generate_transition(skels, mask, den, sched, y_target, y_target, gamma)
-        clip_dirs = []
-        for n, (clip, tag) in enumerate(zip(clips, tags), start=1):
-            clip_dir = run_dir / f"clip_{n:03d}"
-            clip_dir.mkdir(exist_ok=True)
-            _write_frames(clip_dir, "frame", clip)
-            io.write_json(clip_dir / "manifest.json",
-                          {"K": len(clip), "seed": seed, "tag": list(tag),
-                           "start_state": n - 1, "end_state": n})
-            clip_dirs.append(clip_dir)
-        n_frames = len(concat_clips(clips))
-        # the video is the first clip's frames, then each later clip's past its
-        # seam frame, which concat_clips has checked equals the one before it
-        sources = [clip_dir / f"frame_{j:03d}" for c, clip_dir in enumerate(clip_dirs)
-                   for j in range(0 if c == 0 else 1, K)]
-        if len(sources) != n_frames:
-            raise AssertionError(f"{len(sources)} frame files for {n_frames} video frames")
+        # clip n is frames (n-1)(K-1) .. n(K-1): concat_clips drops each later
+        # clip's seam frame, which it has checked equals the one before it
+        frames = concat_clips(clips)
         video_dir = run_dir / "video"
         video_dir.mkdir(exist_ok=True)
         manifest = {
             "status": "incomplete",
-            "frames": n_frames,
+            "frames": len(frames),
             "clips": len(clips),
             "per_clip_K": K,
             "expected_frames": K * len(clips) - (len(clips) - 1),
+            "per_clip": [{"seed": seed, "tag": list(tag), "start_state": n - 1, "end_state": n}
+                         for n, tag in enumerate(tags, start=1)],
         }
         io.write_json(video_dir / "manifest.json", manifest)
-        _link_frames(video_dir, "frame", sources)
+        _write_frames(video_dir, "frame", frames)
         manifest["status"] = "complete"
         io.write_json(video_dir / "manifest.json", manifest)
-        print(f"video: seed {seed}: {n_frames} frames -> {video_dir}")
+        print(f"video: seed {seed}: {len(frames)} frames -> {video_dir}")
     return 0
 
 

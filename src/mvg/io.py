@@ -32,8 +32,9 @@ def replacing(path):
     try:
         yield tmp
         os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)  # the rename leaves it when path already links it
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_tensor(path, arr) -> None:

@@ -761,22 +761,41 @@ class TestVideo:
         for (_, run0), (_, run1) in zip(skeletons[:N], skeletons[N:]):
             assert not np.any(run0 == run1)
 
-    def test_video_frames_link_clip_frames(self, tmp_path):
-        """Each video/ frame file is the clip frame file it repeats: the first
-        clip's frames, then each later clip's past its seam frame."""
+    def test_video_frames_written_once(self, tmp_path, monkeypatch):
+        """video/ holds the run's concat_clips stack, each frame written once
+        as a file of its own; no clip directory is made, and the manifest
+        lists every clip's noise tag and state pair."""
         K = 4
-        path = write_config(tmp_path, {"seeds": [0], "video": {"K": K, "gamma": 0.5, "seed": 0}})
+        path = write_config(tmp_path, {"seeds": [0], "video": {"K": K, "gamma": 0.5, "seed": 3}})
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        concat_clips, stacks = cli.concat_clips, []
+
+        def spy(clips):
+            stacks.append(concat_clips(clips))
+            return stacks[-1]
+
+        monkeypatch.setattr(cli, "concat_clips", spy)
         assert main(["video", "--config", str(path), "--out", str(out)]) == 0
         run = out / "seed_0000"
         N = SMALL_CONFIG["pie"]["N"]
-        sources = [(1, 0)] + [(c, j) for c in range(1, N + 1) for j in range(1, K)]
+        (stack,) = stacks
+        assert len(stack) == K * N - (N - 1)
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        cli._write_frames(expected, "frame", stack)
         for suffix in ("mvgt", "pgm"):
             frames = sorted((run / "video").glob(f"frame_*.{suffix}"))
-            assert len(frames) == len(sources)
-            for frame, (c, j) in zip(frames, sources):
-                assert os.path.samefile(frame, run / f"clip_{c:03d}" / f"frame_{j:03d}.{suffix}")
+            assert [f.name for f in frames] == [f"frame_{n:03d}.{suffix}" for n in range(len(stack))]
+            for frame in frames:
+                assert frame.stat().st_nlink == 1, frame
+                assert frame.read_bytes() == (expected / frame.name).read_bytes(), frame
+        assert not list(out.rglob("clip_*"))
+        manifest = io.read_json(run / "video" / "manifest.json")
+        assert manifest["status"] == "complete"
+        assert manifest["per_clip"] == [
+            {"seed": 0, "tag": [n, 3, rng.CLIP], "start_state": n - 1, "end_state": n}
+            for n in range(1, N + 1)]
 
     def test_zero_stage_run_rejected_before_any_output(self, tmp_path, capsys):
         """A run with one state has no clip: video names its run directory,
@@ -795,8 +814,8 @@ class TestVideo:
 
     def test_rerun_into_same_out(self, tmp_path):
         """video twice into one out directory exits 0 both times and leaves the
-        same bytes and no temporary name, also over video/ frames that are
-        copies rather than links."""
+        same bytes and no temporary name, also over video/ frames that were
+        rewritten under new inodes."""
         path = write_config(tmp_path, {"seeds": [0, 1], "video": {"K": 4, "gamma": 0.5, "seed": 0}})
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
@@ -814,28 +833,26 @@ class TestVideo:
         assert main(["video", "--config", str(path), "--out", str(out)]) == 0
         assert snapshot() == first
         assert not [p for p in out.rglob("*") if p.name.startswith(".") or "tmp" in p.name]
-        for frame in copied:
-            assert frame.stat().st_nlink == 2
 
     def test_rerun_replaces_files_as_a_fresh_run_writes_them(self, tmp_path):
         """A video rerun into an existing run directory writes each file anew
         and renames it into place rather than rewriting the old one, which
-        video/ links; its clip and video/ frames equal a fresh run's, byte for byte."""
+        another name may link; its video/ frames equal a fresh run's, byte for byte."""
         path = write_config(tmp_path, {"seeds": [0], "video": {"K": 4, "gamma": 0.5, "seed": 0}})
         for out in ("fresh", "rerun"):
             assert main(["simulate", "--config", str(path), "--out", str(tmp_path / out)]) == 0
         assert main(["video", "--config", str(path), "--out", str(tmp_path / "fresh")]) == 0
         assert main(["video", "--config", str(path), "--out", str(tmp_path / "rerun")]) == 0
         run = tmp_path / "rerun" / "seed_0000"
-        held = tmp_path / "held.mvgt"  # another name for a clip frame, as video/ has
-        os.link(run / "clip_002" / "frame_001.mvgt", held)
+        held = tmp_path / "held.mvgt"  # another name for a video frame
+        os.link(run / "video" / "frame_004.mvgt", held)
         before = held.read_bytes()
         assert main(["video", "--config", str(path), "--out", str(tmp_path / "rerun")]) == 0
         assert held.read_bytes() == before
-        assert not os.path.samefile(held, run / "clip_002" / "frame_001.mvgt")
+        assert not os.path.samefile(held, run / "video" / "frame_004.mvgt")
         fresh = tmp_path / "fresh" / "seed_0000"
         frames = sorted(p.relative_to(fresh) for p in fresh.glob("*/frame_*"))
-        assert len(frames) == 2 * (3 * 4 + (4 * 3 - 2))
+        assert len(frames) == 2 * (4 * 3 - 2)
         assert frames == sorted(p.relative_to(run) for p in run.glob("*/frame_*"))
         for f in frames:
             assert (run / f).read_bytes() == (fresh / f).read_bytes(), f
@@ -860,26 +877,51 @@ class TestVideo:
         assert len(rows) == len(seeds) * k
         assert sum(rows) == len(seeds) * N * (K - 2) * k
 
-    def test_manifest_incomplete_until_frames_linked(self, tmp_path, monkeypatch, capsys):
-        """A video run cut short while linking its frames, fresh or over a
+    def test_manifest_incomplete_until_frames_written(self, tmp_path, monkeypatch, capsys):
+        """A video run cut short while writing its frames, fresh or over a
         finished one, leaves no video/manifest.json that reads complete."""
         path = write_config(tmp_path, {"seeds": [0], "video": {"K": 4, "gamma": 0.5, "seed": 0}})
         fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
         for out in (fresh, rerun):
             assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
         assert main(["video", "--config", str(path), "--out", str(rerun)]) == 0
-        link_frames = cli._link_frames
+        write_frames = cli._write_frames
 
-        def cut_short(out_dir, prefix, sources):
-            link_frames(out_dir, prefix, sources[:3])
+        def cut_short(out_dir, prefix, frames, first=0):
+            write_frames(out_dir, prefix, frames[:3], first)
             raise OSError("cut short")
 
-        monkeypatch.setattr(cli, "_link_frames", cut_short)
+        monkeypatch.setattr(cli, "_write_frames", cut_short)
         for out in (fresh, rerun):
             assert main(["video", "--config", str(path), "--out", str(out)]) == 1
             assert "cut short" in capsys.readouterr().err
             manifest = io.read_json(out / "seed_0000" / "video" / "manifest.json")
             assert manifest.get("status", "complete") != "complete", out
+
+    def test_rerun_cut_short_leaves_nothing_reading_complete(self, tmp_path, monkeypatch, capsys):
+        """A rerun under another video.seed that fails partway through its PGM
+        writes leaves video/manifest.json not reading complete, and no clip
+        directory whose manifest still describes the previous run."""
+        path = write_config(tmp_path, {"seeds": [0], "video": {"K": 4, "gamma": 0.5, "seed": 0}})
+        other = write_config(tmp_path, {"seeds": [0], "video": {"K": 4, "gamma": 0.5, "seed": 1}},
+                             "other.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["video", "--config", str(path), "--out", str(out)]) == 0
+        write_pgm, calls = io.write_pgm, []
+
+        def fails_on_fifth(p, arr):
+            calls.append(p)
+            if len(calls) == 5:
+                raise OSError("disk full")
+            write_pgm(p, arr)
+
+        monkeypatch.setattr(io, "write_pgm", fails_on_fifth)
+        assert main(["video", "--config", str(other), "--out", str(out)]) == 1
+        assert "disk full" in capsys.readouterr().err
+        manifest = io.read_json(out / "seed_0000" / "video" / "manifest.json")
+        assert manifest.get("status", "complete") != "complete"
+        assert not list(out.rglob("clip_*"))
 
     def test_missing_trajectory_fails(self, tmp_path):
         path = write_config(tmp_path, {"seeds": [0]})
@@ -1058,6 +1100,17 @@ def test_startup_loads_no_scipy():
     would pay; the runtime path must load neither."""
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     out = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT], cwd=REPO, env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_import_loads_no_process_pool():
+    """Only --jobs > 1 runs a worker pool, so importing mvg.cli loads neither
+    concurrent.futures.process nor multiprocessing."""
+    script = ("import sys, mvg.cli; print(sorted(m for m in sys.modules if m == "
+              "'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'))")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]", out.stdout
 

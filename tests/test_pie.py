@@ -14,7 +14,7 @@ from mvg import (Condition, GmmDenoiser, GmmModel, Mixture, PieConfig,
 from mvg import rng as mvg_rng
 from mvg.denoiser import mixture_logpdf
 from mvg.errors import DegenerateSchedule, InvalidArgument, ShapeMismatch
-from mvg.pie import _row_norms, check_bound_suite, decay_probe_run, stage_step_count
+from mvg.pie import _noise, _row_norms, check_bound_suite, decay_probe_run, stage_step_count
 from mvg.scheduler import ddim_step
 from mvg.config import RunConfig
 from tests.conftest import SOFT_DOMAIN, std_normal_denoiser
@@ -128,6 +128,21 @@ class TestPieRun:
         with pytest.raises(InvalidArgument, match="seed"):
             pie_run(np.ones((4, 4)), Condition(0), PieConfig(N=N), den, np.ones((4, 4)),
                     sched50, seeds=[])
+
+    def test_noise_draws_each_seed_once(self, monkeypatch):
+        """Row b of a stage's noise is stream (seeds[b], stage); a seed that
+        repeats across rows, as in an ablate batch, is drawn once."""
+        normal, drawn = mvg_rng.normal, []
+
+        def counted(shape, seed, stage=0):
+            drawn.append(seed)
+            return normal(shape, seed, stage=stage)
+
+        monkeypatch.setattr(mvg_rng, "normal", counted)
+        rows = _noise((4, 4), [3, 5, 3], 7)
+        assert sorted(drawn) == [3, 5]
+        for row, seed in zip(rows, [3, 5, 3]):
+            assert np.array_equal(row, normal((4, 4), seed, stage=7))
 
     def test_n_zero_single_state(self, sched50):
         den = std_normal_denoiser((3, 3), sched50)
