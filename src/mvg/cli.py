@@ -1,19 +1,19 @@
 """Command-line surface: simulate | video | ablate | verify-bounds | metrics.
 
-Every command takes --config PATH (JSON, checked in full when loaded) and is
+Every command takes --config PATH (JSON and the files it names, checked in
+full when loaded), reads all its inputs before its first write, and is
 deterministic given the config plus seeds. MVG_LOG={error,info,debug} controls
 log verbosity. simulate's and ablate's pie_run batches run in a worker pool
 under --jobs N (N >= 1). simulate cuts its seeds into contiguous blocks, at
 least N of them and none over BATCH_ROWS seeds, and runs each block as one
-pie_run; each seed's run directory, deltas.csv's step deltas included, is
-written from its (N + 1, *event) states. ablate makes every (sweep cell, seed)
-a row and runs the rows of one γ together, across cells, in pie_run batches
-of BATCH_ROWS. video reads and checks every requested run before it writes
-anything, denoises all clips of a run in one generate_transition call, and
-writes the concatenated frames once, into video/; video/manifest.json reads
-"complete" only once every frame is written.
-verify-bounds writes check_bound_suite's report as verify_report.json and
-prints one line per check.
+pie_run; each seed's run directory is written from its (N + 1, *event) states.
+ablate makes every (sweep cell, seed) a row and runs the rows of one γ
+together, across cells, in pie_run batches of BATCH_ROWS. video denoises all
+clips of a run in one generate_transition call and writes the concatenated
+frames once, into video/. A run directory and its video/ are written anew
+(_fresh_dir): a rerun leaves no file of an earlier one, and simulate's removes
+the old video/. verify-bounds writes check_bound_suite's report as
+verify_report.json and prints one line per check.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ import dataclasses
 import logging
 import math
 import os
+import shutil
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -56,22 +58,17 @@ def _setup_logging():
     )
 
 
-def _load_reference_states(cfg: RunConfig):
-    return [io.read_tensor(cfg.base_dir / p) for p in cfg.raw["reference_states"]]
-
-
-def _write_metrics(run_dir: Path, seed: int, states, model, y_target, embedder, reference):
+def _write_metrics(run_dir: Path, seed: int, states, cfg: RunConfig):
     """Write and return metrics.csv's per-stage rows (run_id, stage, conf,
     clip_i, kid, mae) for the states as stored; kid is a set metric and stays
     nan at stage level, mae needs reference states."""
-    cos = metrics_mod.stage_cosines(states, embedder) if len(states) >= 2 else np.array([])
+    model, y_target, reference = cfg.model(), cfg.conditions()[1], cfg.reference_states()
+    cos = metrics_mod.stage_cosines(states, cfg.embedder()) if len(states) >= 2 else np.array([])
     rows = []
     for n, state in enumerate(states):
         conf = metrics_mod.confidence(state, y_target, model)
         ci = 1.0 if n == 0 else float(cos[n - 1])
-        ref_err = math.nan
-        if n < len(reference):
-            ref_err = metrics_mod.mae(state, reference[n])
+        ref_err = metrics_mod.mae(state, reference[n]) if n < len(reference) else math.nan
         rows.append((f"seed{seed}", n, conf, ci, math.nan, ref_err))
     io.write_csv(run_dir / "metrics.csv", ["run_id", "stage", "conf", "clip_i", "kid", "mae"], rows)
     return rows
@@ -94,13 +91,22 @@ def _write_frames(out_dir: Path, prefix: str, frames, first: int = 0):
         io.write_pgm(out_dir / f"{prefix}_{n:03d}.pgm", frame)
 
 
+@contextmanager
+def _fresh_dir(out_dir: Path, manifest: dict):
+    """out_dir emptied or made; its manifest.json reads "complete" once the block returns."""
+    if out_dir.exists():
+        shutil.rmtree(out_dir)
+    out_dir.mkdir(parents=True)
+    io.write_json(out_dir / "manifest.json", {**manifest, "status": "incomplete"})
+    yield
+    io.write_json(out_dir / "manifest.json", {**manifest, "status": "complete"})
+
+
 def _write_run_dir(run_dir: Path, states: np.ndarray, cfg: RunConfig, seed: int):
-    """One run directory from the run's (N + 1, *event) states; deltas.csv's
-    step deltas are computed here, and the manifest is marked complete last."""
-    run_dir.mkdir(parents=True, exist_ok=True)
+    """One run directory from the run's (N + 1, *event) states, deltas.csv's
+    step deltas computed here; returns its metrics rows and stored terminal state."""
     model = cfg.model()
     manifest = {
-        "status": "incomplete",
         "seed": seed,
         "config_hash": cfg.config_hash(),
         "library_version": __version__,
@@ -111,22 +117,16 @@ def _write_run_dir(run_dir: Path, states: np.ndarray, cfg: RunConfig, seed: int)
         "n_states": len(states),
         "states": [f"state_{n:03d}.mvgt" for n in range(len(states))],
     }
-    io.write_json(run_dir / "manifest.json", manifest)
-
-    _write_frames(run_dir, "state", states)
-    _write_frames(run_dir, "heatmap",
-                  [diff_heatmap(b, a) for a, b in zip(states, states[1:])], first=1)
-    deltas = _row_norms(states[1:] - states[:-1])
-    io.write_csv(run_dir / "deltas.csv", ["stage", "delta"],
-                 [(n + 1, repr(float(d))) for n, d in enumerate(deltas)])
-
-    stored = [io.stored(state) for state in states]
-    rows = _write_metrics(run_dir, seed, stored, model, cfg.conditions()[1], cfg.embedder(),
-                          _load_reference_states(cfg))
-
-    manifest["status"] = "complete"
-    io.write_json(run_dir / "manifest.json", manifest)
-    return rows
+    with _fresh_dir(run_dir, manifest):
+        _write_frames(run_dir, "state", states)
+        _write_frames(run_dir, "heatmap",
+                      [diff_heatmap(b, a) for a, b in zip(states, states[1:])], first=1)
+        deltas = _row_norms(states[1:] - states[:-1])
+        io.write_csv(run_dir / "deltas.csv", ["stage", "delta"],
+                     [(n + 1, repr(float(d))) for n, d in enumerate(deltas)])
+        stored = [io.stored(state) for state in states]
+        rows = _write_metrics(run_dir, seed, stored, cfg)
+    return rows, stored[-1]
 
 
 def _seed_blocks(seeds: list[int], jobs: int) -> list[list[int]]:
@@ -143,29 +143,25 @@ def _simulate_block(cfg: RunConfig, seeds: list[int], out_dir: str):
     row's results do not depend on its batch-mates."""
     runs = pie_run(cfg.start_image(), cfg.conditions()[1], cfg.pie_config(),
                    cfg.denoiser(), cfg.mask(), cfg.schedule(), seeds)
-    all_rows = []
+    results = []
     for seed, states in zip(seeds, runs):
-        all_rows.append(_write_run_dir(Path(out_dir) / f"seed_{seed:04d}", states, cfg, seed))
+        results.append(_write_run_dir(Path(out_dir) / f"seed_{seed:04d}", states, cfg, seed))
         log.info("simulate seed=%d done (%d stages)", seed, len(states) - 1)
-    return all_rows
+    return results
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, seeds: list[int], jobs: int = 1) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
     blocks = _seed_blocks(seeds, jobs)
     results = _map(_simulate_block, [(cfg, block, str(out_dir)) for block in blocks], jobs)
-    all_rows = [rows for block_rows in results for rows in block_rows]
+    all_rows, terminal = zip(*(run for block_runs in results for run in block_runs))
 
     # seed-averaged per-stage summary plus a terminal-state set distance
     by_stage: dict[int, list] = {}
     for rows in all_rows:
         for (_rid, n, conf, ci, _kid, ref_err) in rows:
             by_stage.setdefault(n, []).append((conf, ci, ref_err))
-    terminal_kid = math.nan
-    if len(seeds) >= 2:
-        terminal = [io.read_tensor(out_dir / f"seed_{s:04d}" / f"state_{max(by_stage):03d}.mvgt")
-                    for s in seeds]
-        terminal_kid = metrics_mod.kid(terminal, cfg.kid_reference(), cfg.embedder())
+    terminal_kid = (metrics_mod.kid(list(terminal), cfg.kid_reference(), cfg.embedder())
+                    if len(seeds) >= 2 else math.nan)
     summary = []
     for n in sorted(by_stage):
         vals = np.array(by_stage[n], dtype=np.float64)
@@ -178,6 +174,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seeds: list[int], jobs: int = 1)
 
 
 def _read_states(run_dir: Path) -> list[np.ndarray]:
+    """The states of a run directory whose manifest reads complete."""
+    if not (run_dir / "manifest.json").exists():
+        raise FileNotFoundError(f"missing trajectory: {run_dir}")
     manifest = io.read_json(run_dir / "manifest.json")
     if manifest.get("status") != "complete":
         raise InvalidArgument(f"{run_dir} is marked {manifest.get('status')!r}")
@@ -192,8 +191,6 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
     runs = []  # every requested run is read and checked before anything is written
     for seed in seeds:
         run_dir = out_dir / f"seed_{seed:04d}"
-        if not (run_dir / "manifest.json").exists():
-            raise FileNotFoundError(f"missing trajectory: {run_dir}")
         states = _read_states(run_dir)
         if len(states) < 2:
             raise InvalidArgument(f"{run_dir} holds {len(states)} state(s); a video needs at least two")
@@ -207,9 +204,7 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
         # clip's seam frame, which it has checked equals the one before it
         frames = concat_clips(clips)
         video_dir = run_dir / "video"
-        video_dir.mkdir(exist_ok=True)
         manifest = {
-            "status": "incomplete",
             "frames": len(frames),
             "clips": len(clips),
             "per_clip_K": K,
@@ -217,10 +212,8 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
             "per_clip": [{"seed": seed, "tag": list(tag), "start_state": n - 1, "end_state": n}
                          for n, tag in enumerate(tags, start=1)],
         }
-        io.write_json(video_dir / "manifest.json", manifest)
-        _write_frames(video_dir, "frame", frames)
-        manifest["status"] = "complete"
-        io.write_json(video_dir / "manifest.json", manifest)
+        with _fresh_dir(video_dir, manifest):
+            _write_frames(video_dir, "frame", frames)
         print(f"video: seed {seed}: {len(frames)} frames -> {video_dir}")
     return 0
 
@@ -307,13 +300,10 @@ def cmd_verify_bounds(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_metrics(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
-    model = cfg.model()
-    _, y_target = cfg.conditions()
-    emb = cfg.embedder()
-    reference = _load_reference_states(cfg)
-    for seed in seeds:
-        run_dir = out_dir / f"seed_{seed:04d}"
-        _write_metrics(run_dir, seed, _read_states(run_dir), model, y_target, emb, reference)
+    run_dirs = [out_dir / f"seed_{seed:04d}" for seed in seeds]
+    runs = [_read_states(run_dir) for run_dir in run_dirs]  # every run, before any write
+    for seed, run_dir, states in zip(seeds, run_dirs, runs):
+        _write_metrics(run_dir, seed, states, cfg)
         print(f"metrics: recomputed {run_dir / 'metrics.csv'}")
     return 0
 

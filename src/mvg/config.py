@@ -1,8 +1,9 @@
 """Run configuration: defaults, load-time checks, and object construction.
 
 Loading checks a config's keys and JSON types against _CONFIG, then builds
-every object a command reads, so each range check lives in the constructor
-that owns it and every config error surfaces before any output is written.
+every object a command reads, the mask and reference files it names included,
+so each range check lives in the constructor or reader that owns it and every
+config error surfaces before any output is written.
 """
 
 from __future__ import annotations
@@ -176,15 +177,15 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir=".") -> "RunConfig":
-        """Check raw and build every object a command reads from it, so that a
-        bad config fails here, before any run, and with InvalidArgument."""
+        """Check raw and build every object a command reads from it, the mask
+        and reference files it names included, so that a bad config fails
+        here, before any run, and with InvalidArgument."""
         _check(raw, _CONFIG, [])
         cfg = cls(raw=_merged(raw), base_dir=Path(base_dir))
         v = cfg.raw["verify"]
         if v["stages"] - v["burn_in"] < 10:  # the decay-slope fit needs 10 stages
             raise InvalidArgument(f"verify needs stages - burn_in >= 10, got "
                                   f"{v['stages']} - {v['burn_in']}")
-        cfg._check_files()
         try:
             cfg.seeds(), cfg.embedder(), cfg.verify_schedule()
             for gamma in (cfg.pie_config().gamma, cfg.raw["video"]["gamma"]):  # ⌊γT⌋ >= 1
@@ -192,22 +193,11 @@ class RunConfig:
             model = cfg.model()
             for y in cfg.conditions():
                 model.mixture(y)
-            if cfg.raw["mask"]["kind"] != "file":  # read when a command runs
-                cfg.mask()
-        except (TypeError, ValueError, IndexError, OverflowError) as err:
-            # a value of a type or size that a constructor cannot take
+            cfg.mask(), cfg.reference_states()
+        except (TypeError, ValueError, IndexError, OverflowError, OSError) as err:
+            # a value a constructor cannot take, or an input file that cannot be read
             raise InvalidArgument(f"config invalid: {err}") from err
         return cfg
-
-    def _check_files(self):
-        paths = list(self.raw["reference_states"])
-        if self.raw["mask"]["kind"] == "file":
-            if "path" not in self.raw["mask"]:
-                raise InvalidArgument("mask kind 'file' needs a path")
-            paths.append(self.raw["mask"]["path"])
-        for p in paths:
-            if not (self.base_dir / p).exists():
-                raise InvalidArgument(f"referenced file does not exist: {p}")
 
     def config_hash(self) -> str:
         return hashlib.sha256(json.dumps(self.raw, sort_keys=True).encode()).hexdigest()[:16]
@@ -229,12 +219,28 @@ class RunConfig:
     def denoiser(self):
         return GmmDenoiser(self.model(), self.schedule())
 
+    def _read_image(self, name: str) -> np.ndarray:
+        """The tensor file name, from the config's directory, checked to be a domain image."""
+        path, shape = self.base_dir / name, self.domain().shape
+        image = io.read_tensor(path)
+        if image.shape != shape:
+            raise InvalidArgument(f"{path} has shape {image.shape}, not the domain's {shape}")
+        return image
+
     def mask(self) -> np.ndarray:
-        spec = self.domain()
+        """The ROI mask; a file mask must be a domain image with entries in [0,1]."""
         mc = self.raw["mask"]
-        if mc["kind"] == "file":
-            return io.read_tensor(self.base_dir / mc["path"])
-        return toydata.make_mask(spec, mc["kind"], mc["params"])
+        if mc["kind"] != "file":
+            return toydata.make_mask(self.domain(), mc["kind"], mc["params"])
+        if "path" not in mc:
+            raise InvalidArgument("mask kind 'file' needs a path")
+        mask = self._read_image(mc["path"])
+        if mask.min() < 0 or mask.max() > 1:
+            raise InvalidArgument(f"{self.base_dir / mc['path']}: mask entries must lie in [0,1]")
+        return mask
+
+    def reference_states(self) -> list[np.ndarray]:
+        return [self._read_image(p) for p in self.raw["reference_states"]]
 
     def pie_config(self) -> PieConfig:
         return PieConfig(**self.raw["pie"])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mvg
-from mvg import cli, io, rng
+from mvg import cli, io, metrics, rng
 from mvg import denoiser as denoiser_mod
 from mvg.cli import main
 from mvg.config import RunConfig, _merged
@@ -483,9 +483,11 @@ class TestConfig:
         assert not np.array_equal(cfg.start_image(), RunConfig.from_dict({}).start_image())
 
     def test_missing_reference_rejected(self, tmp_path):
-        path = write_config(tmp_path, {"mask": {"kind": "file", "path": "nope.mvgt"}})
-        with pytest.raises(InvalidArgument, match="nope.mvgt"):
-            RunConfig.load(path)
+        for overrides in ({"mask": {"kind": "file", "path": "nope.mvgt"}},
+                          {"reference_states": ["nope.mvgt"]}):
+            path = write_config(tmp_path, overrides)
+            with pytest.raises(InvalidArgument, match="config invalid: .*nope.mvgt"):
+                RunConfig.load(path)
 
     def test_mask_from_file(self, tmp_path):
         mask = np.zeros((16, 16))
@@ -564,7 +566,8 @@ class TestFlags:
         assert not (tmp_path / "out").exists()
 
     def test_negative_stream_seed_rejected_before_any_run(self, tmp_path):
-        # the stream raises only when first drawn, after every run is marked complete
+        # load rejects the seed; a stream would raise only when first drawn,
+        # after every run is marked complete
         path = write_config(tmp_path, {"kid_reference": {"seed": -1}})
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "kid")]) == 1
         assert not list(tmp_path.glob("kid/seed_*"))
@@ -596,6 +599,29 @@ class TestFlags:
             assert main(argv) == 0  # only ablate runs the sweep's γ
             return
         assert main(argv) == 1
+        assert "error: config invalid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "ablate"])
+    @pytest.mark.parametrize("content, overrides", [
+        (np.ones((8, 8)), {"mask": {"kind": "file", "path": "bad.mvgt"}}),
+        (np.ones(16), {"mask": {"kind": "file", "path": "bad.mvgt"}}),  # broadcasts over rows
+        (np.full((16, 16), 2.0), {"mask": {"kind": "file", "path": "bad.mvgt"}}),
+        (None, {"mask": {"kind": "file"}}),
+        (np.ones((8, 8)), {"reference_states": ["bad.mvgt"]}),
+        (b"MVGT\x02", {"reference_states": ["bad.mvgt"]}),
+    ], ids=["mask_8x8", "mask_row", "mask_above_one", "mask_without_path", "reference_8x8",
+            "reference_truncated"])
+    def test_bad_input_files_rejected_before_any_output(self, tmp_path, capsys, command,
+                                                        content, overrides):
+        """A mask or reference file that is not one domain image, a mask file
+        with entries outside [0,1] or none named, fails at load, for every command."""
+        if isinstance(content, bytes):
+            (tmp_path / "bad.mvgt").write_bytes(content)
+        elif content is not None:
+            io.write_tensor(tmp_path / "bad.mvgt", content)
+        path = write_config(tmp_path, overrides)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "error: config invalid" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -694,6 +720,23 @@ class TestSimulate:
             blocks = cli._seed_blocks(seeds, jobs)
             assert [len(b) for b in blocks] == sizes, jobs
             assert [s for b in blocks for s in b] == seeds
+
+    def test_summary_kid_reads_no_tensor(self, tmp_path, monkeypatch):
+        """summary.csv's terminal kid is the kid of the stored terminal states,
+        taken from what the blocks return, not read back from the run directories."""
+        path = write_config(tmp_path, {"seeds": [0, 1, 2]})
+        out = tmp_path / "out"
+        read_tensor = io.read_tensor
+
+        def refuse(p):
+            raise AssertionError(f"simulate read {p}")
+
+        monkeypatch.setattr(io, "read_tensor", refuse)
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        cfg = RunConfig.load(path)
+        terminal = [read_tensor(out / f"seed_{s:04d}" / "state_003.mvgt") for s in (0, 1, 2)]
+        _, rows = read_csv(out / "summary.csv")
+        assert float(rows[-1][3]) == metrics.kid(terminal, cfg.kid_reference(), cfg.embedder())
 
     def test_reference_states_fill_mae(self, tmp_path):
         ref_dir = tmp_path / "refs"
@@ -923,6 +966,31 @@ class TestVideo:
         assert manifest.get("status", "complete") != "complete"
         assert not list(out.rglob("clip_*"))
 
+    def test_rerun_replaces_the_output_directory(self, tmp_path):
+        """simulate and video each empty the directory they write, so a rerun
+        into an existing out leaves what a fresh run leaves and nothing more:
+        a simulate rerun at a smaller pie.N drops the longer run's states and
+        its video/, and a video rerun at a smaller K drops the surplus frames."""
+        video = {"K": 5, "gamma": 0.5, "seed": 0}
+        long = write_config(tmp_path, {"seeds": [0], "video": video})  # pie.N 3
+        short = write_config(tmp_path, {"seeds": [0], "pie": {"N": 2}, "video": {**video, "K": 4}},
+                             "short.json")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        for command in ("simulate", "video"):
+            assert main([command, "--config", str(long), "--out", str(out)]) == 0
+        assert main(["simulate", "--config", str(short), "--out", str(out)]) == 0
+        run = out / "seed_0000"
+        assert not (run / "state_003.mvgt").exists() and not (run / "video").exists()
+        assert main(["video", "--config", str(long), "--out", str(out)]) == 0  # K 5: 9 frames
+        assert main(["video", "--config", str(short), "--out", str(out)]) == 0  # K 4: 7 frames
+        for command in ("simulate", "video"):
+            assert main([command, "--config", str(short), "--out", str(fresh)]) == 0
+        files = sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        for f in files:
+            assert (out / f).read_bytes() == (fresh / f).read_bytes(), f
+        assert io.read_json(run / "video" / "manifest.json")["frames"] == 7
+
     def test_missing_trajectory_fails(self, tmp_path):
         path = write_config(tmp_path, {"seeds": [0]})
         assert main(["video", "--config", str(path), "--out", str(tmp_path / "nowhere")]) == 1
@@ -1065,6 +1133,23 @@ class TestMetricsCommand:
         before = (out / "seed_0000" / "metrics.csv").read_bytes()
         assert main(["metrics", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "seed_0000" / "metrics.csv").read_bytes() == before
+
+    def test_missing_run_rejected_before_any_write(self, tmp_path, capsys):
+        """metrics reads every requested run first: with seed_0001/ missing it
+        exits 1 and leaves seed_0000/metrics.csv as it was, though a changed
+        target would change its bytes."""
+        path = write_config(tmp_path, {"seeds": [0]})
+        other = write_config(tmp_path, {"condition": {"target": {"class_id": 0}}}, "other.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        csv_path = out / "seed_0000" / "metrics.csv"
+        before, stat = csv_path.read_bytes(), csv_path.stat()
+        assert main(["metrics", "--config", str(other), "--out", str(out), "--seeds", "0,1"]) == 1
+        assert "missing trajectory" in capsys.readouterr().err
+        assert csv_path.read_bytes() == before
+        assert csv_path.stat().st_mtime_ns == stat.st_mtime_ns
+        assert main(["metrics", "--config", str(other), "--out", str(out), "--seeds", "0"]) == 0
+        assert csv_path.read_bytes() != before
 
     def test_seeds_flag_overrides(self, tmp_path):
         path = write_config(tmp_path, {"seeds": [0, 1]})
