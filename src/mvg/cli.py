@@ -12,8 +12,10 @@ together, across cells, in pie_run batches of BATCH_ROWS. video denoises all
 clips of a run in one generate_transition call and writes the concatenated
 frames once, into video/. A run directory and its video/ are written anew
 (_fresh_dir): a rerun leaves no file of an earlier one, and simulate's removes
-the old video/. verify-bounds writes check_bound_suite's report as
-verify_report.json and prints one line per check.
+the old video/. Each manifest records the config it was written under, and
+video and metrics take a run only under a config that agrees with it on
+STATE_SECTIONS (_read_states). verify-bounds writes check_bound_suite's report
+as verify_report.json and prints one line per check.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ BETA2_SWEEP = (1.0, 0.75, 0.5)
 # (sweep cell, seed) of an ablate batch's γ: bounds a worker's state table at
 # BATCH_ROWS x (max N + 1) images however many seeds the config asks for
 BATCH_ROWS = 64
+# the config sections that made a run's states; video and metrics take a run
+# only under a config that agrees with the run's on every one of them
+STATE_SECTIONS = ("domain", "schedule", "pie", "mask", "condition", "start")
 
 
 def _setup_logging():
@@ -105,16 +110,11 @@ def _fresh_dir(out_dir: Path, manifest: dict):
 def _write_run_dir(run_dir: Path, states: np.ndarray, cfg: RunConfig, seed: int):
     """One run directory from the run's (N + 1, *event) states, deltas.csv's
     step deltas computed here; returns its metrics rows and stored terminal state."""
-    model = cfg.model()
     manifest = {
         "seed": seed,
+        "config": cfg.raw,
         "config_hash": cfg.config_hash(),
         "library_version": __version__,
-        "schedule": cfg.schedule().to_dict(),
-        "pie": {**cfg.pie_config().to_dict(), "seed": seed},
-        "domain": cfg.domain().to_dict(),
-        "model": model.to_dict(),
-        "n_states": len(states),
         "states": [f"state_{n:03d}.mvgt" for n in range(len(states))],
     }
     with _fresh_dir(run_dir, manifest):
@@ -173,14 +173,20 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seeds: list[int], jobs: int = 1)
     return 0
 
 
-def _read_states(run_dir: Path) -> list[np.ndarray]:
-    """The states of a run directory whose manifest reads complete."""
+def _read_states(run_dir: Path, cfg: RunConfig) -> tuple[dict, list[np.ndarray]]:
+    """The manifest and states of a run directory whose manifest reads
+    complete and records a config that agrees with cfg on STATE_SECTIONS."""
     if not (run_dir / "manifest.json").exists():
         raise FileNotFoundError(f"missing trajectory: {run_dir}")
     manifest = io.read_json(run_dir / "manifest.json")
     if manifest.get("status") != "complete":
         raise InvalidArgument(f"{run_dir} is marked {manifest.get('status')!r}")
-    return [io.read_tensor(run_dir / f) for f in manifest["states"]]
+    if "config" not in manifest:
+        raise InvalidArgument(f"{run_dir} records no config; simulate it again")
+    differ = [s for s in STATE_SECTIONS if manifest["config"].get(s) != cfg.raw[s]]
+    if differ:
+        raise InvalidArgument(f"{run_dir} was simulated under another {', '.join(differ)}")
+    return manifest, [io.read_tensor(run_dir / f) for f in manifest["states"]]
 
 
 def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
@@ -191,7 +197,7 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
     runs = []  # every requested run is read and checked before anything is written
     for seed in seeds:
         run_dir = out_dir / f"seed_{seed:04d}"
-        states = _read_states(run_dir)
+        _, states = _read_states(run_dir, cfg)
         if len(states) < 2:
             raise InvalidArgument(f"{run_dir} holds {len(states)} state(s); a video needs at least two")
         runs.append((seed, run_dir, states))
@@ -207,7 +213,7 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
         manifest = {
             "frames": len(frames),
             "clips": len(clips),
-            "per_clip_K": K,
+            "config": cfg.raw,
             "expected_frames": K * len(clips) - (len(clips) - 1),
             "per_clip": [{"seed": seed, "tag": list(tag), "start_state": n - 1, "end_state": n}
                          for n, tag in enumerate(tags, start=1)],
@@ -301,9 +307,12 @@ def cmd_verify_bounds(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_metrics(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
     run_dirs = [out_dir / f"seed_{seed:04d}" for seed in seeds]
-    runs = [_read_states(run_dir) for run_dir in run_dirs]  # every run, before any write
-    for seed, run_dir, states in zip(seeds, run_dirs, runs):
+    runs = [_read_states(run_dir, cfg) for run_dir in run_dirs]  # every run, before any write
+    for seed, run_dir, (manifest, states) in zip(seeds, run_dirs, runs):
         _write_metrics(run_dir, seed, states, cfg)
+        # cfg may differ from the run's config outside STATE_SECTIONS: record it
+        io.write_json(run_dir / "manifest.json",
+                      {**manifest, "config": cfg.raw, "config_hash": cfg.config_hash()})
         print(f"metrics: recomputed {run_dir / 'metrics.csv'}")
     return 0
 

@@ -171,16 +171,6 @@ class GmmModel:
             raise InvalidArgument(f"unknown class_id {y.class_id}")
         return self.class_mixtures[y.class_id]
 
-    def to_dict(self) -> dict:
-        return {
-            str(c): {
-                "weights": m.weights.tolist(),
-                "means": m.means.tolist(),
-                "variances": m.variances.tolist(),
-            }
-            for c, m in self.class_mixtures.items()
-        }
-
 
 def gmm_eps(x: np.ndarray, t: int, y, m: GmmModel, s: NoiseSchedule) -> np.ndarray:
     """Exact posterior-mean noise E[ε | x_t=x, y] = √(1−ᾱ)·Σᵢ rᵢ(x)·(x − √ᾱ·μᵢ)/Vᵢ,

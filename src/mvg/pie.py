@@ -28,7 +28,7 @@ equals a per-row ``np.linalg.norm`` bit for bit, so batching moves no output.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,9 +55,6 @@ class PieConfig:
             v = getattr(self, name)
             if not (0 <= v <= 1):
                 raise InvalidArgument(f"{name} must be in [0,1], got {v}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ uniformly weighted within a class, with per-pixel noise σ.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,9 +63,6 @@ class DomainSpec:
             if c.class_id == class_id:
                 return c
         raise InvalidArgument(f"unknown class_id {class_id}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DomainSpec":

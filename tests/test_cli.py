@@ -645,6 +645,15 @@ class TestSimulate:
         manifest = io.read_json(run / "manifest.json")
         assert manifest["status"] == "complete"
 
+    def test_manifest_records_the_config(self, tmp_path):
+        """A run manifest records the resolved config and nothing derivable from it."""
+        path = write_config(tmp_path, {"seeds": [0]})
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        manifest = io.read_json(tmp_path / "out" / "seed_0000" / "manifest.json")
+        assert manifest["config"] == RunConfig.load(path).raw
+        assert sorted(manifest) == ["config", "config_hash", "library_version", "seed",
+                                    "states", "status"]
+
     def test_rerun_byte_identical(self, tmp_path):
         path = write_config(tmp_path)
         for out in ("out1", "out2"):
@@ -781,6 +790,7 @@ class TestVideo:
         N = SMALL_CONFIG["pie"]["N"]
         assert manifest["frames"] == K * N - (N - 1)
         assert manifest["frames"] == manifest["expected_frames"]
+        assert manifest["config"]["video"]["K"] == K and "per_clip_K" not in manifest
 
     def test_clip_noise_keyed_by_run_seed(self, tmp_path, monkeypatch):
         skeletons = []
@@ -842,18 +852,41 @@ class TestVideo:
 
     def test_zero_stage_run_rejected_before_any_output(self, tmp_path, capsys):
         """A run with one state has no clip: video names its run directory,
-        exits 1 and writes nothing, not even for the good run listed before it."""
-        video = {"K": 4, "gamma": 0.5, "seed": 0}
-        path = write_config(tmp_path, {"seeds": [0], "video": video})
-        empty = write_config(tmp_path, {"seeds": [1], "video": video, "pie": {"N": 0}}, "empty.json")
+        exits 1 and writes nothing."""
+        empty = write_config(tmp_path, {"seeds": [1], "video": {"K": 4, "gamma": 0.5, "seed": 0},
+                                        "pie": {"N": 0}})
         out = tmp_path / "out"
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
         assert main(["simulate", "--config", str(empty), "--out", str(out)]) == 0
         capsys.readouterr()
-        assert main(["video", "--config", str(path), "--out", str(out), "--seeds", "0,1"]) == 1
+        assert main(["video", "--config", str(empty), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert str(out / "seed_0001") in err and "at least two" in err, err
         assert not list(out.glob("seed_*/clip_*")) and not list(out.glob("seed_*/video"))
+
+    @pytest.mark.parametrize("case", ["mask", "no_config"])
+    def test_run_of_another_config_rejected_before_any_output(self, tmp_path, capsys, case):
+        """video takes a run only under a config whose state sections equal the
+        run's; with seed 1 simulated under another mask, or written before run
+        manifests recorded a config, it names that run, exits 1 and writes no
+        video/ for either run."""
+        path = write_config(tmp_path, {"video": {"K": 4, "gamma": 0.5, "seed": 0}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        if case == "mask":
+            rect = write_config(tmp_path, {"seeds": [1], "mask": {"kind": "rect", "params": {
+                "y0": 4, "x0": 4, "y1": 12, "x1": 12}}}, "rect.json")
+            assert main(["simulate", "--config", str(rect), "--out", str(out)]) == 0
+            expected = "was simulated under another mask"
+        else:
+            manifest = io.read_json(out / "seed_0001" / "manifest.json")
+            del manifest["config"]
+            io.write_json(out / "seed_0001" / "manifest.json", manifest)
+            expected = "records no config; simulate it again"
+        capsys.readouterr()
+        assert main(["video", "--config", str(path), "--out", str(out), "--seeds", "0,1"]) == 1
+        err = capsys.readouterr().err
+        assert f"{out / 'seed_0001'} {expected}" in err, err
+        assert not list(out.glob("seed_*/video"))
 
     def test_rerun_into_same_out(self, tmp_path):
         """video twice into one out directory exits 0 both times and leaves the
@@ -975,13 +1008,15 @@ class TestVideo:
         long = write_config(tmp_path, {"seeds": [0], "video": video})  # pie.N 3
         short = write_config(tmp_path, {"seeds": [0], "pie": {"N": 2}, "video": {**video, "K": 4}},
                              "short.json")
+        short_k5 = write_config(tmp_path, {"seeds": [0], "pie": {"N": 2}, "video": video},
+                                "short_k5.json")
         out, fresh = tmp_path / "out", tmp_path / "fresh"
         for command in ("simulate", "video"):
             assert main([command, "--config", str(long), "--out", str(out)]) == 0
         assert main(["simulate", "--config", str(short), "--out", str(out)]) == 0
         run = out / "seed_0000"
         assert not (run / "state_003.mvgt").exists() and not (run / "video").exists()
-        assert main(["video", "--config", str(long), "--out", str(out)]) == 0  # K 5: 9 frames
+        assert main(["video", "--config", str(short_k5), "--out", str(out)]) == 0  # K 5: 9 frames
         assert main(["video", "--config", str(short), "--out", str(out)]) == 0  # K 4: 7 frames
         for command in ("simulate", "video"):
             assert main([command, "--config", str(short), "--out", str(fresh)]) == 0
@@ -1137,9 +1172,11 @@ class TestMetricsCommand:
     def test_missing_run_rejected_before_any_write(self, tmp_path, capsys):
         """metrics reads every requested run first: with seed_0001/ missing it
         exits 1 and leaves seed_0000/metrics.csv as it was, though a changed
-        target would change its bytes."""
+        embedder would change its bytes. The embedder is a section metrics may
+        change: with seed 0 alone it rewrites metrics.csv and records its own
+        config in the run manifest, which still reads complete."""
         path = write_config(tmp_path, {"seeds": [0]})
-        other = write_config(tmp_path, {"condition": {"target": {"class_id": 0}}}, "other.json")
+        other = write_config(tmp_path, {"embedder": {"kind": "random_projection"}}, "other.json")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
         csv_path = out / "seed_0000" / "metrics.csv"
@@ -1150,6 +1187,24 @@ class TestMetricsCommand:
         assert csv_path.stat().st_mtime_ns == stat.st_mtime_ns
         assert main(["metrics", "--config", str(other), "--out", str(out), "--seeds", "0"]) == 0
         assert csv_path.read_bytes() != before
+        manifest, cfg = io.read_json(out / "seed_0000" / "manifest.json"), RunConfig.load(other)
+        assert manifest["config"] == cfg.raw and manifest["config_hash"] == cfg.config_hash()
+        assert manifest["status"] == "complete"
+
+    def test_other_state_sections_rejected_before_any_write(self, tmp_path, capsys):
+        """metrics under another schedule exits 1 and leaves metrics.csv as it was."""
+        path = write_config(tmp_path, {"seeds": [0]})
+        other = write_config(tmp_path, {"seeds": [0], "schedule": {"T": 20}}, "other.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        csv_path = out / "seed_0000" / "metrics.csv"
+        before, stat = csv_path.read_bytes(), csv_path.stat()
+        capsys.readouterr()
+        assert main(["metrics", "--config", str(other), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{out / 'seed_0000'} was simulated under another schedule" in err, err
+        assert csv_path.read_bytes() == before
+        assert csv_path.stat().st_mtime_ns == stat.st_mtime_ns
 
     def test_seeds_flag_overrides(self, tmp_path):
         path = write_config(tmp_path, {"seeds": [0, 1]})

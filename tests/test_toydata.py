@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -117,5 +119,5 @@ class TestMakeMask:
 
 
 def test_domain_spec_roundtrip(default_domain):
-    again = DomainSpec.from_dict(default_domain.to_dict())
+    again = DomainSpec.from_dict(dataclasses.asdict(default_domain))
     assert again == default_domain
