@@ -142,7 +142,7 @@ def _simulate_block(cfg: RunConfig, seeds: list[int], out_dir: str):
     """One pie_run over a block of seeds, then each seed's run directory; a
     row's results do not depend on its batch-mates."""
     runs = pie_run(cfg.start_image(), cfg.conditions()[1], cfg.pie_config(),
-                   cfg.denoiser(), cfg.mask(), cfg.schedule(), seeds)
+                   cfg.denoiser(), cfg.mask(), seeds)
     results = []
     for seed, states in zip(seeds, runs):
         results.append(_write_run_dir(Path(out_dir) / f"seed_{seed:04d}", states, cfg, seed))
@@ -192,7 +192,7 @@ def _read_states(run_dir: Path, cfg: RunConfig) -> tuple[dict, list[np.ndarray]]
 def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
     video = cfg.raw["video"]
     K, gamma, vseed = video["K"], video["gamma"], video["seed"]
-    sched, den, mask = cfg.schedule(), cfg.denoiser(), cfg.mask()
+    den, mask = cfg.denoiser(), cfg.mask()
     _, y_target = cfg.conditions()
     runs = []  # every requested run is read and checked before anything is written
     for seed in seeds:
@@ -205,7 +205,7 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
         tags = [(n, vseed, rng.CLIP) for n in range(1, len(states))]
         skels = [make_clip_skeleton(states[n - 1], states[n], K, seed, tag=tag)
                  for n, tag in enumerate(tags, start=1)]
-        clips = generate_transition(skels, mask, den, sched, y_target, y_target, gamma)
+        clips = generate_transition(skels, mask, den, y_target, y_target, gamma)
         # clip n is frames (n-1)(K-1) .. n(K-1): concat_clips drops each later
         # clip's seam frame, which it has checked equals the one before it
         frames = concat_clips(clips)
@@ -227,14 +227,13 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
 def _ablate_batch(cfg: RunConfig, rows: list[tuple]):
     """One pie_run over rows [(PieConfig, seed)] that share γ: per row its
     terminal state, the terminal confidence and the trajectory's clip_i."""
-    model, sched = cfg.model(), cfg.schedule()
+    d = cfg.denoiser()
     _, y_target = cfg.conditions()
     emb = cfg.embedder()
     pcs, seeds = zip(*rows)
-    runs = pie_run(cfg.start_image(), y_target, pcs, GmmDenoiser(model, sched), cfg.mask(),
-                   sched, seeds)
+    runs = pie_run(cfg.start_image(), y_target, pcs, d, cfg.mask(), seeds)
     # copy the terminal state so the batch's state table is freed on return
-    return [(states[-1].copy(), metrics_mod.confidence(states[-1], y_target, model),
+    return [(states[-1].copy(), metrics_mod.confidence(states[-1], y_target, d.model),
              metrics_mod.clip_i(states, emb)) for states in runs]
 
 
@@ -292,12 +291,11 @@ def cmd_verify_bounds(cfg: RunConfig, out_dir: Path) -> int:
     """Run the decay probes, write check_bound_suite's report as
     verify_report.json, print one line per check; exit 0 only if all pass."""
     v = cfg.raw["verify"]
-    sched = cfg.verify_schedule()
     shape = cfg.domain().shape
     x0 = float(v["x0_scale"]) * np.ones(shape)
-    probes = decay_probe_run(x0, GmmDenoiser(verify_model(shape), sched), Condition(0, 0.0), sched,
-                             v["stages"], range(v["seeds"]))
-    report = check_bound_suite(probes, sched, v["delta"], v["burn_in"])
+    den = GmmDenoiser(verify_model(shape), cfg.verify_schedule())
+    probes = decay_probe_run(x0, den, Condition(0, 0.0), v["stages"], range(v["seeds"]))
+    report = check_bound_suite(probes, v["delta"], v["burn_in"])
     out_dir.mkdir(parents=True, exist_ok=True)
     io.write_json(out_dir / "verify_report.json", report)
     for c in report["checks"]:

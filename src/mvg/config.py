@@ -193,7 +193,10 @@ class RunConfig:
             model = cfg.model()
             for y in cfg.conditions():
                 model.mixture(y)
-            cfg.mask(), cfg.reference_states()
+            mask = cfg.mask()
+            if cfg.raw["mask"]["kind"] == "file":  # the path alone does not pin the mask down
+                cfg.raw["mask"]["sha256"] = hashlib.sha256(mask.tobytes()).hexdigest()
+            cfg.reference_states()
         except (TypeError, ValueError, IndexError, OverflowError, OSError) as err:
             # a value a constructor cannot take, or an input file that cannot be read
             raise InvalidArgument(f"config invalid: {err}") from err

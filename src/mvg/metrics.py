@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import Condition, GmmModel, _log_normalize, mixture_logpdf
-from .errors import DegenerateMixture, InvalidArgument, ShapeMismatch
+from .errors import DegenerateMixture, InvalidArgument
+from .scheduler import _check_same_shape
 
 
 class IdentityEmbedder:
@@ -132,6 +133,5 @@ def mae(a, b) -> float:
     """Mean absolute error between two same-shape tensors."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"{a.shape} vs {b.shape}")
+    _check_same_shape(a, b, "mae operands")
     return float(np.mean(np.abs(a - b)))

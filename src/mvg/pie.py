@@ -8,16 +8,16 @@ the ROI mask:
 
     out = (β₁·(x'−x₀) + x₀)·(1−M) + (β₂·(x'−x₀) + x₀)·M
 
-The recursions (``pie_run``, ``decay_probe_run``) take a list of seeds and
-run them as one (B, *event) batch through the engine; row b's noise comes from
-its own stream (seeds[b], stage), so a seed's results do not depend on its
-batch-mates. ``pie_run``'s rows may carry their own N, β₁ and β₂ (one γ per
-batch); it keeps every state in one (B, max N + 1, *event) table and returns
-row b as its (N_b + 1, *event) view.
+The recursions (``pie_run``, ``decay_probe_run``) run a list of seeds as one
+(B, *event) batch under the schedule the denoiser holds; row b's noise comes
+from its own stream (seeds[b], stage), so a seed's results do not depend on
+its batch-mates. ``pie_run``'s rows may carry their own N, β₁ and β₂ (one γ
+per batch); it keeps every state in one (B, max N + 1, *event) table and
+returns row b as its (N_b + 1, *event) view.
 ``decay_probe_run`` keeps only what the decay checks read: per probe the step
 deltas, the observed C₂ and the drift ‖x_N − x₀‖, O(B) images at any stage.
 ``check_bound_suite`` turns those probes into the verify_report.json dict,
-bounds and checks alike.
+bounds and checks alike, under the schedule the probes record they ran under.
 ``composite_roi`` blends one image or a (B, *plane) batch against one mask,
 with β₁, β₂ shared or one per row.
 Every L2 norm of an image (a run's or a probe's step deltas, C₁, the observed
@@ -34,7 +34,8 @@ import numpy as np
 
 from . import rng
 from .errors import DegenerateSchedule, InvalidArgument, ShapeMismatch
-from .scheduler import NoiseSchedule, _check_batch, ddim_chain, ddim_step, forward_diffuse
+from .scheduler import (NoiseSchedule, _check_batch, _check_same_shape, ddim_chain, ddim_step,
+                        forward_diffuse)
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,7 @@ def composite_roi(x_gen, x_base, mask, beta1, beta2) -> np.ndarray:
     β₁, β₂ scalars or, for a batch, one value per row."""
     x_gen = np.asarray(x_gen, dtype=np.float64)
     x_base = np.asarray(x_base, dtype=np.float64)
-    if x_gen.shape != x_base.shape:
-        raise ShapeMismatch(f"generated {x_gen.shape} vs base {x_base.shape}")
+    _check_same_shape(x_gen, x_base, "generated vs base")
     m = validate_mask(mask, x_gen.shape)
     outside = _lerp(x_base, x_gen, _per_row(beta1, x_gen, m.ndim))
     inside = _lerp(x_base, x_gen, _per_row(beta2, x_gen, m.ndim))
@@ -164,18 +164,19 @@ def _noise(shape, seeds, stage: int) -> np.ndarray:
     return np.stack([draws[seed] for seed in seeds])
 
 
-def pie_run(x0, y_target, cfg, d, m, s: NoiseSchedule, seeds) -> list[np.ndarray]:
+def pie_run(x0, y_target, cfg, d, m, seeds) -> list[np.ndarray]:
     """Run the edit recursion from x0 once per seed, all seeds as one batch,
     conditioning every stage on y_target. cfg is one PieConfig for every row,
     or one per row: rows then carry their own N, β₁ and β₂ but share γ, and
     row b retires after its N_b stages. Returns per seed its states x⁰₀..x⁰_N_b
     as an (N_b + 1, *event) array, a view of the batch's one state table.
 
-    Stage n takes the live rows, noises row b to k = ⌊γT⌋ from stream
-    (seeds[b], n), runs the reverse chain under y_target and ROI-composites
-    with row b's β₁, β₂."""
+    Stage n takes the live rows, noises row b to k = ⌊γT⌋ of d.schedule from
+    stream (seeds[b], n), runs the reverse chain under y_target and
+    ROI-composites with row b's β₁, β₂."""
     _check_seeds(seeds)
     cfgs = _row_configs(cfg, len(seeds))
+    s = d.schedule
     k = stage_step_count(cfgs[0].gamma, s)
     x0 = np.asarray(x0, dtype=np.float64)
     n_stages = np.array([c.N for c in cfgs])
@@ -188,7 +189,7 @@ def pie_run(x0, y_target, cfg, d, m, s: NoiseSchedule, seeds) -> list[np.ndarray
     for n in range(1, states.shape[1]):
         live = np.flatnonzero(n_stages >= n)
         x_k = forward_diffuse(states[live, n - 1], k, _noise(x0.shape, [seeds[b] for b in live], n), s)
-        x_gen = ddim_chain(x_k, k, d, y_target, s)
+        x_gen = ddim_chain(x_k, k, d, y_target)
         states[live, n] = composite_roi(x_gen, np.broadcast_to(x0, x_gen.shape), m,
                                         beta1[live], beta2[live])
         del x_k, x_gen  # no stage's temporaries outlive it
@@ -241,8 +242,7 @@ def diff_heatmap(a, b) -> np.ndarray:
     """|a−b| normalized by its maximum; all zeros when a == b."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"{a.shape} vs {b.shape}")
+    _check_same_shape(a, b, "heatmap operands")
     d = np.abs(a - b)
     m = d.max() if d.size else 0.0
     return d / m if m > 0 else np.zeros_like(d)
@@ -256,6 +256,7 @@ def diff_heatmap(a, b) -> np.ndarray:
 class DecayProbes:
     """A batch of decay-probe runs; row b of each array belongs to seeds[b]."""
 
+    schedule: NoiseSchedule  # the denoiser.schedule decay_probe_run ran them under
     seeds: list[int]
     c1: float                # ‖x0‖, the same for every probe
     c2_observed: np.ndarray  # (B,) max ‖ε̂‖ seen during each run
@@ -263,8 +264,8 @@ class DecayProbes:
     drift: np.ndarray        # (B,) ‖x_N − x_0‖
 
 
-def decay_probe_run(x0, denoiser, y, s: NoiseSchedule, n_stages: int, seeds) -> DecayProbes:
-    """Pure-edit recursion used by the convergence checks, once per seed as one batch.
+def decay_probe_run(x0, denoiser, y, n_stages: int, seeds) -> DecayProbes:
+    """Pure-edit recursion under denoiser.schedule, once per seed as one batch.
 
     Each stage rolls the state to the t=2 level with a single per-run noise
     draw, stream (seed, 0), and takes one reverse step, landing at the t=1
@@ -274,6 +275,7 @@ def decay_probe_run(x0, denoiser, y, s: NoiseSchedule, n_stages: int, seeds) -> 
     deltas; fresh noise every stage leaves a delta floor that masks the decay.
     Only the current states are held, not the trajectories.
     """
+    s = denoiser.schedule
     if s.T < 2:
         raise InvalidArgument("decay probe needs T >= 2")
     _check_seeds(seeds)
@@ -290,8 +292,8 @@ def decay_probe_run(x0, denoiser, y, s: NoiseSchedule, n_stages: int, seeds) -> 
         x_new = ddim_step(v, 2, e_hat, s)
         deltas[:, n] = _row_norms(x_new - x)
         x = x_new
-    return DecayProbes(seeds=list(seeds), c1=float(_row_norms(x0[None])[0]), c2_observed=c2,
-                       step_deltas=deltas, drift=_row_norms(x - x0))
+    return DecayProbes(schedule=s, seeds=list(seeds), c1=float(_row_norms(x0[None])[0]),
+                       c2_observed=c2, step_deltas=deltas, drift=_row_norms(x - x0))
 
 
 SLOPE_RTOL = 0.2       # allowed relative deviation of the fitted decay slope
@@ -299,10 +301,11 @@ ENVELOPE_FROM = 5      # first stage whose delta the envelope must dominate
 NMIN_QUORUM = 0.9      # share of seeds whose first sub-delta stage n_min must bound
 
 
-def check_bound_suite(probes: DecayProbes, s: NoiseSchedule, delta: float, burn_in: int) -> dict:
+def check_bound_suite(probes: DecayProbes, delta: float, burn_in: int) -> dict:
     """The decay-suite assertions on a batch of probes, as the verify_report.json
-    dict: the schedule's stage pair, the fitted and target slopes, each probe's
-    n_min and κ from prop2_bound, and one {name, passed, detail} per check."""
+    dict: the stage pair of probes.schedule, the fitted and target slopes, each
+    probe's n_min and κ from prop2_bound, and one {name, passed, detail} per check."""
+    s = probes.schedule
     bounds = [prop2_bound(s, C1=probes.c1, C2=float(c2), delta=delta) for c2 in probes.c2_observed]
     # a schedule that injected no noise to speak of: every step delta is at
     # float-residue scale relative to the start image, so there is nothing to fit

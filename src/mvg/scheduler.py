@@ -125,9 +125,10 @@ def ddim_step(x_t: np.ndarray, t: int, eps_pred: np.ndarray, s: NoiseSchedule) -
     return out
 
 
-def ddim_chain(x_k, k: int, denoiser, y, s: NoiseSchedule) -> np.ndarray:
-    """Apply ddim_step from t=k down to t=1 using denoiser(x, t, y); x_k is one
-    image or a (B, *event) batch denoised under the one condition y."""
+def ddim_chain(x_k, k: int, denoiser, y) -> np.ndarray:
+    """Apply ddim_step on denoiser.schedule from t=k down to t=1 using
+    denoiser.predict(x, t, y); x_k is one image or a (B, *event) batch, one y."""
+    s = denoiser.schedule
     k = _check_step(k, s)
     x = np.asarray(x_k, dtype=np.float64)
     for t in range(k, 0, -1):

@@ -21,7 +21,7 @@ from . import rng
 from .denoiser import blend_conditions
 from .errors import InvalidArgument, SeamMismatch, ShapeMismatch
 from .pie import composite_roi, stage_step_count, validate_mask
-from .scheduler import NoiseSchedule, ddim_chain
+from .scheduler import _check_same_shape, ddim_chain
 
 
 def _checked_clip(frames) -> np.ndarray:
@@ -41,8 +41,7 @@ def make_clip_skeleton(x_start, x_end, K: int, seed: int, tag: tuple = ()) -> np
         raise InvalidArgument(f"K must be >= 2, got {K}")
     x_start = np.asarray(x_start, dtype=np.float64)
     x_end = np.asarray(x_end, dtype=np.float64)
-    if x_start.shape != x_end.shape:
-        raise ShapeMismatch(f"x_start {x_start.shape} vs x_end {x_end.shape}")
+    _check_same_shape(x_start, x_end, "x_start vs x_end")
     frames = np.empty((K,) + x_start.shape)
     frames[0] = x_start
     frames[K - 1] = x_end
@@ -59,14 +58,13 @@ def _per_clip(y, n: int, what: str) -> list:
     return ys
 
 
-def generate_transition(skels, m, d, s: NoiseSchedule, y_start, y_end,
-                        gamma: float) -> np.ndarray:
+def generate_transition(skels, m, d, y_start, y_end, gamma: float) -> np.ndarray:
     """Denoise the middle frames of each skeleton into a coherent transition
     clip and return the clips as one (n, K, *event) stack. skels is a list of
     (K, *event) skeletons or an (n, K, *event) stack, all of one K ≥ 2 and
     frame shape, with finite frames; y_start and y_end are one condition for
-    every clip or a list of one per clip."""
-    k = stage_step_count(gamma, s)
+    every clip or a list of one per clip. k = ⌊γT⌋ is taken on d.schedule."""
+    k = stage_step_count(gamma, d.schedule)
     if len(skels) == 0:
         raise InvalidArgument("need at least one skeleton")
     stack = [_checked_clip(skel) for skel in skels]
@@ -85,7 +83,7 @@ def generate_transition(skels, m, d, s: NoiseSchedule, y_start, y_end,
             groups.setdefault(blend_conditions(a, b, j / (K - 1)), []).append((c, j))
     for y, pairs in groups.items():
         cs, js = map(list, zip(*pairs))
-        frames[cs, js] = ddim_chain(frames[cs, js], k, d, y, s)
+        frames[cs, js] = ddim_chain(frames[cs, js], k, d, y)
     # clip by clip, so no (rows, *event) copy of the averages joins the batch
     for clip, clip_avg in zip(frames, avg):
         mid = clip[1:K - 1]

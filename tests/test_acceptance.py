@@ -36,8 +36,8 @@ def decay_suite():
     sched = build_schedule(2, 0.1, 0.1)
     den = GmmDenoiser(verify_model((16, 16)), sched)
     x0 = 10.0 * np.ones((16, 16))
-    probes = decay_probe_run(x0, den, Condition(0), sched, n_stages=100, seeds=range(50))
-    suite_report = check_bound_suite(probes, sched, delta=0.01, burn_in=5)
+    probes = decay_probe_run(x0, den, Condition(0), n_stages=100, seeds=range(50))
+    suite_report = check_bound_suite(probes, delta=0.01, burn_in=5)
     bounds = [prop2_bound(sched, C1=probes.c1, C2=float(c2), delta=0.01)
               for c2 in probes.c2_observed]
     return probes, suite_report, bounds, time.perf_counter() - start
@@ -140,7 +140,7 @@ def test_c06_mask_identity(default_model, sched50):
     x0 = sample(default_model, Condition(0, 0.0), 1, seed=55)[0]
     bad = 0
     cfg = PieConfig(N=10, gamma=0.6, beta1=0.0, beta2=0.75)
-    for states in pie_run(x0, Condition(1, 1.0), cfg, den, mask, sched50, range(10)):
+    for states in pie_run(x0, Condition(1, 1.0), cfg, den, mask, range(10)):
         for state in states:
             bad += not np.array_equal(state[outside], x0[outside])
     report("C6 mask-identity", bad == 0,
@@ -182,7 +182,7 @@ def test_c08_transition_contracts():
         x_start = sample(model, ya, 1, seed=400 + case)[0]
         x_end = sample(model, yb, 1, seed=500 + case)[0]
         skel = make_clip_skeleton(x_start, x_end, 8, seed=case)
-        (clip,) = generate_transition([skel], mask, den, sched, ya, yb, 0.6)
+        (clip,) = generate_transition([skel], mask, den, ya, yb, 0.6)
         endpoint_bad += not (np.array_equal(clip[0], x_start)
                              and np.array_equal(clip[-1], x_end))
         avg = 0.5 * (x_start + x_end)

@@ -688,7 +688,7 @@ class TestSimulate:
         cfg = RunConfig.load(path)
         for seed in (0, 1, 2):
             (states,) = pie_run(cfg.start_image(), cfg.conditions()[1], cfg.pie_config(),
-                                cfg.denoiser(), cfg.mask(), cfg.schedule(), [seed])
+                                cfg.denoiser(), cfg.mask(), [seed])
             _, rows = read_csv(out / f"seed_{seed:04d}" / "deltas.csv")
             expected = [repr(float(np.linalg.norm(b - a))) for a, b in zip(states, states[1:])]
             assert len(expected) == 3
@@ -887,6 +887,28 @@ class TestVideo:
         err = capsys.readouterr().err
         assert f"{out / 'seed_0001'} {expected}" in err, err
         assert not list(out.glob("seed_*/video"))
+
+    def test_rewritten_mask_file_rejected_before_any_output(self, tmp_path, capsys):
+        """A file mask is pinned by what it holds, not by its path: with the
+        mask file rewritten after simulate, video and metrics name the mask,
+        exit 1 and write nothing; with the first mask written back, video runs."""
+        square = np.zeros((16, 16))
+        square[4:12, 4:12] = 1.0
+        io.write_tensor(tmp_path / "mask.mvgt", square)
+        path = write_config(tmp_path, {"seeds": [0], "video": {"K": 4, "gamma": 0.5, "seed": 0},
+                                       "mask": {"kind": "file", "path": "mask.mvgt"}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        io.write_tensor(tmp_path / "mask.mvgt", np.roll(square, 2, axis=1))
+        before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        capsys.readouterr()
+        for command in ("video", "metrics"):
+            assert main([command, "--config", str(path), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert f"{out / 'seed_0000'} was simulated under another mask" in err, (command, err)
+        assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
+        io.write_tensor(tmp_path / "mask.mvgt", square)
+        assert main(["video", "--config", str(path), "--out", str(out)]) == 0
 
     def test_rerun_into_same_out(self, tmp_path):
         """video twice into one out directory exits 0 both times and leaves the
@@ -1089,7 +1111,7 @@ class TestAblate:
             assert not any(np.shares_memory(t, u) for u in terminal[i + 1:]), i
         pcs, seeds = zip(*rows)
         runs = pie_run(cfg.start_image(), cfg.conditions()[1], list(pcs), cfg.denoiser(),
-                       cfg.mask(), cfg.schedule(), list(seeds))
+                       cfg.mask(), list(seeds))
         for t, states in zip(terminal, runs):
             assert np.array_equal(t, states[-1])
 
@@ -1136,7 +1158,7 @@ class TestVerifyBounds:
         sched = RunConfig.load(path).verify_schedule()
         x0 = v["x0_scale"] * np.ones(DomainSpec().shape)
         probes = decay_probe_run(x0, GmmDenoiser(cli.verify_model(x0.shape), sched),
-                                 Condition(0, 0.0), sched, v["stages"], range(v["seeds"]))
+                                 Condition(0, 0.0), v["stages"], range(v["seeds"]))
         bounds = [prop2_bound(sched, probes.c1, float(c2), v["delta"]) for c2 in probes.c2_observed]
         assert report["n_min"] == [b.n_min for b in bounds]
         assert report["kappa"] == [b.kappa for b in bounds]

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -16,6 +17,7 @@ from mvg.denoiser import mixture_logpdf
 from mvg.errors import DegenerateSchedule, InvalidArgument, ShapeMismatch
 from mvg.pie import _noise, _row_norms, check_bound_suite, decay_probe_run, stage_step_count
 from mvg.scheduler import ddim_step
+from mvg.transition import generate_transition
 from mvg.config import RunConfig
 from tests.conftest import SOFT_DOMAIN, std_normal_denoiser
 
@@ -106,11 +108,11 @@ class TestPieStage:
         den = std_normal_denoiser((6, 6), sched50)
         cfg = PieConfig(N=1, gamma=0.4, beta1=0.0, beta2=1.0)
         x_prev = np.random.default_rng(2).standard_normal((6, 6))
-        (states,) = pie_run(x_prev, Condition(0), cfg, den, np.ones((6, 6)), sched50, [7])
+        (states,) = pie_run(x_prev, Condition(0), cfg, den, np.ones((6, 6)), [7])
         out = states[1]
         k = stage_step_count(cfg.gamma, sched50)
         eps = mvg_rng.normal((6, 6), 7, stage=1)
-        manual = ddim_chain(forward_diffuse(x_prev, k, eps, sched50), k, den, Condition(0), sched50)
+        manual = ddim_chain(forward_diffuse(x_prev, k, eps, sched50), k, den, Condition(0))
         assert np.array_equal(out, manual)
 
     def test_k_zero_rejected(self):
@@ -118,7 +120,7 @@ class TestPieStage:
         cfg = PieConfig(N=1, gamma=0.3)  # floor(0.3*2) = 0
         with pytest.raises(InvalidArgument):
             pie_run(np.zeros((2, 2)), Condition(0), cfg, std_normal_denoiser((2, 2), s),
-                    np.ones((2, 2)), s, [0])
+                    np.ones((2, 2)), [0])
 
 
 class TestPieRun:
@@ -126,8 +128,7 @@ class TestPieRun:
     def test_empty_seed_list_rejected(self, N, sched50):
         den = std_normal_denoiser((4, 4), sched50)
         with pytest.raises(InvalidArgument, match="seed"):
-            pie_run(np.ones((4, 4)), Condition(0), PieConfig(N=N), den, np.ones((4, 4)),
-                    sched50, seeds=[])
+            pie_run(np.ones((4, 4)), Condition(0), PieConfig(N=N), den, np.ones((4, 4)), seeds=[])
 
     def test_noise_draws_each_seed_once(self, monkeypatch):
         """Row b of a stage's noise is stream (seeds[b], stage); a seed that
@@ -147,7 +148,7 @@ class TestPieRun:
     def test_n_zero_single_state(self, sched50):
         den = std_normal_denoiser((3, 3), sched50)
         x0 = np.ones((3, 3))
-        (states,) = pie_run(x0, Condition(0), PieConfig(N=0), den, np.ones((3, 3)), sched50, [0])
+        (states,) = pie_run(x0, Condition(0), PieConfig(N=0), den, np.ones((3, 3)), [0])
         assert states.shape == (1, 3, 3)
         assert np.array_equal(states[0], x0)
 
@@ -156,7 +157,7 @@ class TestPieRun:
         den = std_normal_denoiser((4, 4), s)
         x0 = np.random.default_rng(3).standard_normal((4, 4))
         cfg = PieConfig(N=10, gamma=1.0, beta1=0.0, beta2=1.0)
-        (states,) = pie_run(x0, Condition(0), cfg, den, np.ones((4, 4)), s, [1])
+        (states,) = pie_run(x0, Condition(0), cfg, den, np.ones((4, 4)), [1])
         for state in states:
             np.testing.assert_allclose(state, x0, atol=1e-4)
 
@@ -176,7 +177,7 @@ class TestPieRun:
         q = s2 * np.sqrt(a * (1 - a)) / V
 
         cfg = PieConfig(N=N, gamma=1.0, beta1=0.0, beta2=1.0)
-        states = np.array(pie_run(np.array([x0]), Condition(0), cfg, den, np.ones(1), s,
+        states = np.array(pie_run(np.array([x0]), Condition(0), cfg, den, np.ones(1),
                                   range(n_seeds)))[..., 0]
 
         m = x0
@@ -193,7 +194,7 @@ class TestPieRun:
         den = GmmDenoiser(default_model, sched50)
         x0 = np.random.default_rng(9).uniform(0, 1, spec.shape)
         cfg = PieConfig(N=10, gamma=0.6, beta1=0.0, beta2=0.75)
-        for states in pie_run(x0, Condition(1, 1.0), cfg, den, mask, sched50, range(5)):
+        for states in pie_run(x0, Condition(1, 1.0), cfg, den, mask, range(5)):
             outside = mask == 0.0
             for state in states:
                 assert np.array_equal(state[outside], x0[outside])
@@ -202,8 +203,8 @@ class TestPieRun:
         den = GmmDenoiser(default_model, sched50)
         x0 = np.random.default_rng(4).uniform(0, 1, (16, 16))
         cfg = PieConfig(N=3, gamma=0.5)
-        (t1,) = pie_run(x0, Condition(1, 1.0), cfg, den, np.ones((16, 16)), sched50, [42])
-        (t2,) = pie_run(x0, Condition(1, 1.0), cfg, den, np.ones((16, 16)), sched50, [42])
+        (t1,) = pie_run(x0, Condition(1, 1.0), cfg, den, np.ones((16, 16)), [42])
+        (t2,) = pie_run(x0, Condition(1, 1.0), cfg, den, np.ones((16, 16)), [42])
         for a, b in zip(t1, t2):
             assert np.array_equal(a, b)
 
@@ -217,9 +218,9 @@ class TestPieRun:
         x0 = np.random.default_rng(6).uniform(0, 1, (16, 16))
         x0[:2] = 40.0
         cfg = PieConfig(N=10, gamma=0.6, beta1=0.1, beta2=0.75)
-        batch = pie_run(x0, Condition(1, 1.0), cfg, den, mask, sched50, range(300))
+        batch = pie_run(x0, Condition(1, 1.0), cfg, den, mask, range(300))
         for seed in (0, 1, 137, 299):
-            (alone,) = pie_run(x0, Condition(1, 1.0), cfg, den, mask, sched50, [seed])
+            (alone,) = pie_run(x0, Condition(1, 1.0), cfg, den, mask, [seed])
             for a, b in zip(alone, batch[seed]):
                 assert np.array_equal(a, b), seed
 
@@ -241,16 +242,17 @@ class TestPieRun:
 
         class Counting:
             rows = 0
+            schedule = sched50
 
             def predict(self, x, t, y):
                 Counting.rows += len(x)
                 return GmmDenoiser(default_model, sched50).predict(x, t, y)
 
-        batch = pie_run(x0, y, cfgs, Counting(), mask, sched50, seeds)
+        batch = pie_run(x0, y, cfgs, Counting(), mask, seeds)
         assert Counting.rows == sum(c.N for c in cfgs) * math.floor(0.4 * sched50.T)
         den = GmmDenoiser(default_model, sched50)
         for cfg, seed, states in zip(cfgs, seeds, batch):
-            (alone,) = pie_run(x0, y, cfg, den, mask, sched50, [seed])
+            (alone,) = pie_run(x0, y, cfg, den, mask, [seed])
             assert len(states) == cfg.N + 1 == len(alone)
             for a, b in zip(alone, states):
                 assert np.array_equal(a, b), (cfg, seed)
@@ -259,9 +261,9 @@ class TestPieRun:
         den = std_normal_denoiser((4, 4), sched50)
         cfgs = [PieConfig(N=2, gamma=0.4), PieConfig(N=2, gamma=0.5)]
         with pytest.raises(InvalidArgument, match="gamma"):
-            pie_run(np.ones((4, 4)), Condition(0), cfgs, den, np.ones((4, 4)), sched50, [0, 1])
+            pie_run(np.ones((4, 4)), Condition(0), cfgs, den, np.ones((4, 4)), [0, 1])
         with pytest.raises(ShapeMismatch):  # one config per row
-            pie_run(np.ones((4, 4)), Condition(0), cfgs[:1], den, np.ones((4, 4)), sched50, [0, 1])
+            pie_run(np.ones((4, 4)), Condition(0), cfgs[:1], den, np.ones((4, 4)), [0, 1])
 
     def test_config_validation(self):
         with pytest.raises(InvalidArgument):
@@ -294,7 +296,7 @@ class TestStepDecayFit:
         s = verify_schedule()
         den = std_normal_denoiser((16, 16), s)
         x0 = 10.0 * np.ones((16, 16))
-        probes = decay_probe_run(x0, den, Condition(0), s, n_stages=60, seeds=range(10))
+        probes = decay_probe_run(x0, den, Condition(0), n_stages=60, seeds=range(10))
         slopes = [step_decay_fit(deltas, burn_in=5) for deltas in probes.step_deltas]
         target = 0.5 * np.log(0.81)
         assert abs(np.mean(slopes) - target) / abs(target) <= 0.2
@@ -401,7 +403,7 @@ class TestRowNorms:
         den = std_normal_denoiser((16, 16), s)
         x0 = 10.0 * np.ones((16, 16))
         seeds = range(50)
-        probes = decay_probe_run(x0, den, Condition(0), s, n_stages=100, seeds=seeds)
+        probes = decay_probe_run(x0, den, Condition(0), n_stages=100, seeds=seeds)
         eps = np.stack([mvg_rng.normal(x0.shape, seed, stage=0) for seed in seeds])
         states = [np.broadcast_to(x0, eps.shape)]
         c2 = np.zeros(len(seeds))
@@ -424,12 +426,12 @@ def small_suite():
     s = verify_schedule()
     den = std_normal_denoiser((16, 16), s)
     x0 = 10.0 * np.ones((16, 16))
-    return decay_probe_run(x0, den, Condition(0), s, n_stages=80, seeds=range(10))
+    return decay_probe_run(x0, den, Condition(0), n_stages=80, seeds=range(10))
 
 
 def suite_checks(probes) -> dict:
     """check_bound_suite's checks on the verify schedule, by name."""
-    report = check_bound_suite(probes, verify_schedule(), delta=0.01, burn_in=5)
+    report = check_bound_suite(probes, delta=0.01, burn_in=5)
     return {c["name"]: c for c in report["checks"]}
 
 
@@ -461,9 +463,9 @@ class TestDecaySuite:
         s = verify_schedule()
         den = std_normal_denoiser((16, 16), s)
         x0 = 10.0 * np.ones((16, 16))
-        batch = decay_probe_run(x0, den, Condition(0), s, n_stages=40, seeds=range(50))
+        batch = decay_probe_run(x0, den, Condition(0), n_stages=40, seeds=range(50))
         for seed in (0, 17, 49):
-            alone = decay_probe_run(x0, den, Condition(0), s, n_stages=40, seeds=[seed])
+            alone = decay_probe_run(x0, den, Condition(0), n_stages=40, seeds=[seed])
             assert batch.seeds[seed] == seed and alone.seeds == [seed]
             assert alone.c2_observed[0] == batch.c2_observed[seed]
             assert np.array_equal(alone.step_deltas[0], batch.step_deltas[seed]), seed
@@ -473,7 +475,7 @@ class TestDecaySuite:
         s = verify_schedule()
         den = std_normal_denoiser((4, 4), s)
         with pytest.raises(InvalidArgument, match="seed"):
-            decay_probe_run(np.ones((4, 4)), den, Condition(0), s, n_stages=20, seeds=[])
+            decay_probe_run(np.ones((4, 4)), den, Condition(0), n_stages=20, seeds=[])
 
     def test_decay_probe_holds_no_state_table(self):
         """B=200, N=100 on 16x16: the (B, N+1, *event) state table alone would
@@ -483,18 +485,34 @@ class TestDecaySuite:
         x0 = 10.0 * np.ones((16, 16))
         tracemalloc.start()
         try:
-            decay_probe_run(x0, den, Condition(0), s, n_stages=100, seeds=range(200))
+            decay_probe_run(x0, den, Condition(0), n_stages=100, seeds=range(200))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
+    def test_report_reads_the_probes_schedule(self):
+        """Probes run under β = 0.2 give a report of that schedule: its table,
+        its stage pair, and the slope target and κ that follow from them."""
+        s = build_schedule(2, 0.2, 0.2)
+        den = std_normal_denoiser((16, 16), s)
+        probes = decay_probe_run(10.0 * np.ones((16, 16)), den, Condition(0),
+                                 n_stages=40, seeds=range(5))
+        assert probes.schedule is s
+        report = check_bound_suite(probes, delta=0.01, burn_in=5)
+        assert report["schedule"] == s.to_dict() == {"T": 2, "beta_start": 0.2, "beta_end": 0.2}
+        assert report["alpha0"] == s.alpha_bars[1] == pytest.approx(0.8)
+        assert report["target_slope"] == 0.5 * math.log(s.alpha_bars[2])
+        assert report["kappa"] == [prop2_bound(s, probes.c1, float(c2), 0.01).kappa
+                                   for c2 in probes.c2_observed]
+        assert {c["name"]: c["passed"] for c in report["checks"]}["decay_slope"]
+
     def test_zero_noise_schedule_trivially_passes(self):
         s = build_schedule(2, 1e-12, 1e-12)
         den = std_normal_denoiser((16, 16), s)
-        probes = decay_probe_run(10.0 * np.ones((16, 16)), den, Condition(0), s,
+        probes = decay_probe_run(10.0 * np.ones((16, 16)), den, Condition(0),
                                  n_stages=30, seeds=range(3))
-        report = check_bound_suite(probes, s, delta=0.01, burn_in=5)
+        report = check_bound_suite(probes, delta=0.01, burn_in=5)
         assert report["mean_slope"] is None
         assert len(report["checks"]) == 4
         for c in report["checks"]:
@@ -515,7 +533,7 @@ def test_directionality_rises_to_plateau():
     x0 = cfg.start_image()
     mix = model.mixture(y)
     curves = [[mixture_logpdf(s_, mix) for s_ in states]
-              for states in pie_run(x0, y, PieConfig(N=10, gamma=0.6), den, mask, sched, range(50))]
+              for states in pie_run(x0, y, PieConfig(N=10, gamma=0.6), den, mask, range(50))]
     m = np.mean(curves, axis=0)
     # plateau stage: first stage inside the stationary band (final level minus
     # twice the stationary wiggle); the curve must rise monotonically to it
@@ -523,3 +541,13 @@ def test_directionality_rises_to_plateau():
     plateau = int(np.argmax(m >= m[-1] - 2 * wiggle))
     assert plateau >= 1
     assert all(m[i + 1] >= m[i] for i in range(plateau)), m
+
+
+@pytest.mark.parametrize("fn", [ddim_chain, pie_run, generate_transition, decay_probe_run,
+                                check_bound_suite])
+def test_no_schedule_beside_the_denoiser(fn):
+    """The engine reads a run's schedule from its denoiser, and the decay
+    report from its probes: no entry point takes a NoiseSchedule of its own."""
+    params = inspect.signature(fn).parameters.values()
+    assert not [p.name for p in params
+                if "NoiseSchedule" in str(p.annotation) or p.name in ("s", "schedule")]

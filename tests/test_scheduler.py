@@ -129,7 +129,7 @@ class TestDdimChain:
         s = build_schedule(5, 1e-12, 1e-12)
         den = std_normal_denoiser((3,), s)
         x = np.array([0.5, -1.0, 2.0])
-        np.testing.assert_allclose(ddim_chain(x, 5, den, Condition(0), s), x, atol=1e-5)
+        np.testing.assert_allclose(ddim_chain(x, 5, den, Condition(0)), x, atol=1e-5)
 
     def test_scalar_product_recursion(self, sched50):
         """Standard-normal prior: each reverse step multiplies the state by
@@ -140,20 +140,20 @@ class TestDdimChain:
             ab = sched50.alpha_bars
             for t in range(k, 0, -1):
                 factor *= np.sqrt(ab[t - 1] * ab[t]) + np.sqrt((1 - ab[t - 1]) * (1 - ab[t]))
-            out = ddim_chain(np.array([1.7]), k, den, Condition(0), sched50)
+            out = ddim_chain(np.array([1.7]), k, den, Condition(0))
             assert out[0] == pytest.approx(1.7 * factor, rel=1e-12)
 
     def test_k1_matches_single_step(self, sched50):
         den = std_normal_denoiser((2,), sched50)
         x = np.array([0.3, -0.8])
         eps_pred = den.predict(x, 1, Condition(0))
-        chain = ddim_chain(x, 1, den, Condition(0), sched50)
+        chain = ddim_chain(x, 1, den, Condition(0))
         step = ddim_step(x, 1, eps_pred, sched50)
         assert np.array_equal(chain, step)
 
     def test_deterministic(self, sched50):
         den = std_normal_denoiser((4,), sched50)
         x = np.linspace(-1, 1, 4)
-        a = ddim_chain(x, 20, den, Condition(0), sched50)
-        b = ddim_chain(x, 20, den, Condition(0), sched50)
+        a = ddim_chain(x, 20, den, Condition(0))
+        b = ddim_chain(x, 20, den, Condition(0))
         assert np.array_equal(a, b)

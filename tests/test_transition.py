@@ -66,7 +66,7 @@ class TestGenerateTransition:
         mask = np.zeros(u.shape)
         mask[4:12, 4:12] = 1.0
         skel = make_clip_skeleton(x_start, x_end, 6, seed=3)
-        (clip,) = generate_transition([skel], mask, den, sched50, Condition(0), Condition(0), 0.6)
+        (clip,) = generate_transition([skel], mask, den, Condition(0), Condition(0), 0.6)
         assert np.array_equal(clip[0], x_start)
         assert np.array_equal(clip[-1], x_end)
         avg = 0.5 * (x_start + x_end)
@@ -80,7 +80,7 @@ class TestGenerateTransition:
         devs = []
         for seed in range(50):
             skel = make_clip_skeleton(u, u, 8, seed=seed)
-            (clip,) = generate_transition([skel], mask, den, sched50, Condition(0), Condition(0), 0.6)
+            (clip,) = generate_transition([skel], mask, den, Condition(0), Condition(0), 0.6)
             for j in range(1, 7):
                 devs.append(np.sqrt(np.mean((clip[j] - u) ** 2)))
         assert np.mean(devs) <= 2 * SIGMA_GEN_RMS
@@ -88,15 +88,15 @@ class TestGenerateTransition:
     def test_deterministic_under_seed(self, sched50):
         u, den = fixed_point_setup(sched50)
         skel = make_clip_skeleton(u, u + 0.1, 5, seed=21)
-        (c1,) = generate_transition([skel], np.ones(u.shape), den, sched50, Condition(0), Condition(0), 0.5)
-        (c2,) = generate_transition([skel], np.ones(u.shape), den, sched50, Condition(0), Condition(0), 0.5)
+        (c1,) = generate_transition([skel], np.ones(u.shape), den, Condition(0), Condition(0), 0.5)
+        (c2,) = generate_transition([skel], np.ones(u.shape), den, Condition(0), Condition(0), 0.5)
         assert np.array_equal(c1, c2)
 
     def test_invalid_gamma(self, sched50):
         u, den = fixed_point_setup(sched50)
         skel = make_clip_skeleton(u, u, 4, seed=0)
         with pytest.raises(InvalidArgument):
-            generate_transition([skel], np.ones(u.shape), den, sched50,
+            generate_transition([skel], np.ones(u.shape), den,
                                 Condition(0), Condition(0), gamma=0.001)
 
     def test_middle_frames_are_independent_chains(self):
@@ -115,13 +115,13 @@ class TestGenerateTransition:
             x_start = sample(model, y_start, 1, seed=31)[0]
             x_end = sample(model, y_end, 1, seed=32)[0]
             skel = make_clip_skeleton(x_start, x_end, K, seed=4)
-            (clip,) = generate_transition([skel], mask, den, sched, y_start, y_end, gamma)
+            (clip,) = generate_transition([skel], mask, den, y_start, y_end, gamma)
             avg = 0.5 * (x_start + x_end)
             assert np.array_equal(clip[0], x_start)
             assert np.array_equal(clip[-1], x_end)
             for j in range(1, K - 1):
                 y_j = blend_conditions(y_start, y_end, j / (K - 1))
-                expected = composite_roi(ddim_chain(skel[j], k, den, y_j, sched),
+                expected = composite_roi(ddim_chain(skel[j], k, den, y_j),
                                          avg, mask, 0.0, 1.0)
                 assert np.array_equal(clip[j], expected), (y_start, y_end, j)
 
@@ -140,7 +140,7 @@ class TestGenerateTransition:
             x_start = sample(model, ya, 1, seed=100 + case)[0]
             x_end = sample(model, yb, 1, seed=200 + case)[0]
             skel = make_clip_skeleton(x_start, x_end, 8, seed=case)
-            (clip,) = generate_transition([skel], mask, den, sched, ya, yb, 0.6)
+            (clip,) = generate_transition([skel], mask, den, ya, yb, 0.6)
             span = np.linalg.norm(x_end - x_start)
             for j in range(1, len(clip) - 2):
                 step = np.linalg.norm(clip[j + 1] - clip[j])
@@ -162,6 +162,7 @@ class TestGenerateTransition:
 
         class Counting:
             calls = rows = 0
+            schedule = sched
 
             def predict(self, x, t, y):
                 Counting.calls += 1
@@ -179,16 +180,16 @@ class TestGenerateTransition:
         else:
             y_start = y_end = Condition(1, 0.9)
             chains = 1 if K > 2 else 0
-        clips = generate_transition(skels, mask, Counting(), sched, y_start, y_end, gamma)
+        clips = generate_transition(skels, mask, Counting(), y_start, y_end, gamma)
         assert Counting.calls == chains * k
         assert Counting.rows == N * (K - 2) * k
         ys = list(zip(y_start, y_end)) if distinct_ends else [(y_start, y_end)] * N
         den = GmmDenoiser(model, sched)
         for skel, (a, b), clip in zip(skels, ys, clips):
-            (alone,) = generate_transition([skel], mask, den, sched, a, b, gamma)
+            (alone,) = generate_transition([skel], mask, den, a, b, gamma)
             assert np.array_equal(clip, alone)
         stack = np.stack(skels)
-        from_stack = generate_transition(stack, mask, den, sched, y_start, y_end, gamma)
+        from_stack = generate_transition(stack, mask, den, y_start, y_end, gamma)
         for clip, twin in zip(clips, from_stack):
             assert np.array_equal(clip, twin)
 
@@ -197,12 +198,12 @@ class TestGenerateTransition:
         mask = np.ones(u.shape)
         y = Condition(0)
         with pytest.raises(InvalidArgument):
-            generate_transition([], mask, den, sched50, y, y, 0.6)
+            generate_transition([], mask, den, y, y, 0.6)
         with pytest.raises(ShapeMismatch):
             generate_transition([make_clip_skeleton(u, u, 4, seed=0),
-                                 make_clip_skeleton(u, u, 5, seed=0)], mask, den, sched50, y, y, 0.6)
+                                 make_clip_skeleton(u, u, 5, seed=0)], mask, den, y, y, 0.6)
         with pytest.raises(ShapeMismatch):  # one condition per clip
-            generate_transition([make_clip_skeleton(u, u, 4, seed=0)] * 2, mask, den, sched50,
+            generate_transition([make_clip_skeleton(u, u, 4, seed=0)] * 2, mask, den,
                                 [y], y, 0.6)
 
 
@@ -248,7 +249,7 @@ def test_videoclip_validation(sched50):
         mask = np.ones(bad.shape[1:])
         for skels in ([bad], bad[None]):
             with pytest.raises(InvalidArgument, match=why):
-                generate_transition(skels, mask, den, sched50, y, y, 0.6)
+                generate_transition(skels, mask, den, y, y, 0.6)
         for clips in ([bad], [bad, bad]):
             with pytest.raises(InvalidArgument, match=why):
                 concat_clips(clips)
