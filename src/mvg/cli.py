@@ -63,20 +63,35 @@ def _setup_logging():
     )
 
 
-def _write_metrics(run_dir: Path, seed: int, states, cfg: RunConfig):
+def _metric_inputs(cfg: RunConfig) -> tuple:
+    """metrics.csv's model, target, embedder and reference states, built once, not per run."""
+    return cfg.model(), cfg.conditions()[1], cfg.embedder(), cfg.reference_states()
+
+
+def _write_metrics(run_dir: Path, seed: int, states, inputs: tuple):
     """Write and return metrics.csv's per-stage rows (run_id, stage, conf,
-    clip_i, kid, mae) for the states as stored; kid is a set metric and stays
-    nan at stage level, mae needs reference states."""
-    model, y_target, reference = cfg.model(), cfg.conditions()[1], cfg.reference_states()
-    cos = metrics_mod.stage_cosines(states, cfg.embedder()) if len(states) >= 2 else np.array([])
+    clip_i, mae) for the states as stored; mae needs reference states."""
+    model, y_target, embedder, reference = inputs
+    cos = metrics_mod.stage_cosines(states, embedder) if len(states) >= 2 else np.array([])
     rows = []
     for n, state in enumerate(states):
         conf = metrics_mod.confidence(state, y_target, model)
         ci = 1.0 if n == 0 else float(cos[n - 1])
         ref_err = metrics_mod.mae(state, reference[n]) if n < len(reference) else math.nan
-        rows.append((f"seed{seed}", n, conf, ci, math.nan, ref_err))
-    io.write_csv(run_dir / "metrics.csv", ["run_id", "stage", "conf", "clip_i", "kid", "mae"], rows)
+        rows.append((f"seed{seed}", n, conf, ci, ref_err))
+    io.write_csv(run_dir / "metrics.csv", ["run_id", "stage", "conf", "clip_i", "mae"], rows)
     return rows
+
+
+def _write_summary(out_dir: Path, all_rows, terminal, cfg: RunConfig):
+    """summary.csv: per stage the means over runs (of one N) of their rows, and the terminal kid."""
+    conf, ci, ref_err = np.array([[row[2:] for row in rows] for rows in all_rows]).T
+    kid = (metrics_mod.kid(list(terminal), cfg.kid_reference(), cfg.embedder())
+           if len(terminal) >= 2 else math.nan)
+    summary = [(n, conf[n].mean(), ci[n].mean(), kid if n == len(conf) - 1 else math.nan,
+                np.nanmean(ref_err[n]) if np.any(~np.isnan(ref_err[n])) else math.nan)
+               for n in range(len(conf))]
+    io.write_csv(out_dir / "summary.csv", ["stage", "conf", "clip_i", "kid", "mae"], summary)
 
 
 def _map(fn, args: list[tuple], jobs: int) -> list:
@@ -107,7 +122,7 @@ def _fresh_dir(out_dir: Path, manifest: dict):
     io.write_json(out_dir / "manifest.json", {**manifest, "status": "complete"})
 
 
-def _write_run_dir(run_dir: Path, states: np.ndarray, cfg: RunConfig, seed: int):
+def _write_run_dir(run_dir: Path, states: np.ndarray, cfg: RunConfig, seed: int, inputs: tuple):
     """One run directory from the run's (N + 1, *event) states, deltas.csv's
     step deltas computed here; returns its metrics rows and stored terminal state."""
     manifest = {
@@ -125,13 +140,13 @@ def _write_run_dir(run_dir: Path, states: np.ndarray, cfg: RunConfig, seed: int)
         io.write_csv(run_dir / "deltas.csv", ["stage", "delta"],
                      [(n + 1, repr(float(d))) for n, d in enumerate(deltas)])
         stored = [io.stored(state) for state in states]
-        rows = _write_metrics(run_dir, seed, stored, cfg)
+        rows = _write_metrics(run_dir, seed, stored, inputs)
     return rows, stored[-1]
 
 
 def _seed_blocks(seeds: list[int], jobs: int) -> list[list[int]]:
-    """seeds cut into contiguous blocks of near-equal size: at least jobs
-    blocks (fewer only when there are fewer seeds), none over BATCH_ROWS."""
+    """seeds (or ablate's rows) cut into contiguous blocks of near-equal size:
+    at least jobs blocks (fewer only when there are fewer seeds), none over BATCH_ROWS."""
     n = min(len(seeds), max(jobs, math.ceil(len(seeds) / BATCH_ROWS)))
     q, r = divmod(len(seeds), n)
     ends = [b * q + min(b, r) for b in range(n + 1)]
@@ -143,9 +158,9 @@ def _simulate_block(cfg: RunConfig, seeds: list[int], out_dir: str):
     row's results do not depend on its batch-mates."""
     runs = pie_run(cfg.start_image(), cfg.conditions()[1], cfg.pie_config(),
                    cfg.denoiser(), cfg.mask(), seeds)
-    results = []
+    results, inputs = [], _metric_inputs(cfg)
     for seed, states in zip(seeds, runs):
-        results.append(_write_run_dir(Path(out_dir) / f"seed_{seed:04d}", states, cfg, seed))
+        results.append(_write_run_dir(Path(out_dir, f"seed_{seed:04d}"), states, cfg, seed, inputs))
         log.info("simulate seed=%d done (%d stages)", seed, len(states) - 1)
     return results
 
@@ -154,21 +169,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seeds: list[int], jobs: int = 1)
     blocks = _seed_blocks(seeds, jobs)
     results = _map(_simulate_block, [(cfg, block, str(out_dir)) for block in blocks], jobs)
     all_rows, terminal = zip(*(run for block_runs in results for run in block_runs))
-
-    # seed-averaged per-stage summary plus a terminal-state set distance
-    by_stage: dict[int, list] = {}
-    for rows in all_rows:
-        for (_rid, n, conf, ci, _kid, ref_err) in rows:
-            by_stage.setdefault(n, []).append((conf, ci, ref_err))
-    terminal_kid = (metrics_mod.kid(list(terminal), cfg.kid_reference(), cfg.embedder())
-                    if len(seeds) >= 2 else math.nan)
-    summary = []
-    for n in sorted(by_stage):
-        vals = np.array(by_stage[n], dtype=np.float64)
-        summary.append((n, vals[:, 0].mean(), vals[:, 1].mean(),
-                        terminal_kid if n == max(by_stage) else math.nan,
-                        np.nanmean(vals[:, 2]) if np.any(~np.isnan(vals[:, 2])) else math.nan))
-    io.write_csv(out_dir / "summary.csv", ["stage", "conf", "clip_i", "kid", "mae"], summary)
+    _write_summary(out_dir, all_rows, terminal, cfg)
     print(f"simulate: {len(seeds)} run(s) -> {out_dir}")
     return 0
 
@@ -256,7 +257,7 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, seeds: list[int], jobs: int = 1) -
             raise InvalidArgument(f"config invalid for the ablate sweep: {err}") from err
         group = sorted(((c, i) for c, pc in enumerate(pcs) if pc.gamma == gamma
                         for i in range(len(seeds))), key=lambda row: -pcs[row[0]].N)
-        batches += [group[j:j + BATCH_ROWS] for j in range(0, len(group), BATCH_ROWS)]
+        batches += _seed_blocks(group, 1)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = _map(_ablate_batch, [(cfg, [(pcs[c], seeds[i]) for c, i in batch])
                                    for batch in batches], jobs)
@@ -306,12 +307,14 @@ def cmd_verify_bounds(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_metrics(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
     run_dirs = [out_dir / f"seed_{seed:04d}" for seed in seeds]
     runs = [_read_states(run_dir, cfg) for run_dir in run_dirs]  # every run, before any write
+    inputs, all_rows = _metric_inputs(cfg), []
     for seed, run_dir, (manifest, states) in zip(seeds, run_dirs, runs):
-        _write_metrics(run_dir, seed, states, cfg)
+        all_rows.append(_write_metrics(run_dir, seed, states, inputs))
         # cfg may differ from the run's config outside STATE_SECTIONS: record it
         io.write_json(run_dir / "manifest.json",
                       {**manifest, "config": cfg.raw, "config_hash": cfg.config_hash()})
         print(f"metrics: recomputed {run_dir / 'metrics.csv'}")
+    _write_summary(out_dir, all_rows, [states[-1] for _, states in runs], cfg)
     return 0
 
 

@@ -76,20 +76,17 @@ def _check(value, spec, where: list):
             _fail(where, f"{value!r} is greater than the maximum of {maximum}")
 
 
-# mask.params keys make_mask reads per kind; full, empty and file read none and
-# accept either set, so a config can switch its kind and keep its old params.
-# A mask without a kind has the default kind, disk, and is checked as one.
-_MASK_PARAMS = {"disk": ["center", "radius", "feather"], "rect": ["y0", "x0", "y1", "x1"]}
-_DEFAULT_MASK_KIND = "disk"
-
-
-def _mask(value, where):
-    _check(value, {"kind": "string", "params": "object", "path": "string"}, where)
-    kind = value.get("kind", _DEFAULT_MASK_KIND)
-    keys = _MASK_PARAMS.get(kind, sum(_MASK_PARAMS.values(), []))
-    for key in value.get("params", {}):
-        if key not in keys:
-            _fail(where + ["params"], f"unknown key {key!r} for a {kind} mask")
+def _kinds(specs: dict, default: str):
+    """The check of a section whose kind (default if it names none) picks from specs
+    (keys, required): the keys it takes besides kind, {key: spec}, and the one it needs."""
+    def check(value, where):
+        kind = value.get("kind", default) if isinstance(value, dict) else default
+        _check(kind, set(specs), where + ["kind"])
+        keys, required = specs[kind]
+        _check(value, {"kind": "string", **keys}, where)
+        if required and required not in value:
+            _fail(where, f"{required!r} is a required property of kind {kind!r}")
+    return check
 
 
 def _condition(value, where):
@@ -120,10 +117,15 @@ _CONFIG = {
     "domain": "object",
     "schedule": _SCHEDULE,
     "pie": {"N": "integer", "gamma": "number", "beta1": "number", "beta2": "number"},
-    "mask": _mask,
+    "mask": _kinds({"disk": ({"params": {"center": ["number"], "radius": "number",
+                                          "feather": "number"}}, None),
+                    "rect": ({"params": dict.fromkeys(["y0", "x0", "y1", "x1"], "integer")}, None),
+                    "full": ({}, None), "empty": ({}, None),
+                    "file": ({"path": "string", "sha256": "string"}, "path")}, "disk"),
     "condition": {"source": _condition, "target": _condition},
-    "start": {"kind": {"mean", "sample"}, "seed": _SEED},
-    "embedder": {"kind": "string", "out_dim": ("integer", 1, None), "seed": _SEED},
+    "start": _kinds({"mean": ({}, None), "sample": ({"seed": _SEED}, "seed")}, "mean"),
+    "embedder": _kinds({"identity": ({}, None), "random_projection": (
+        {"out_dim": ("integer", 1, None), "seed": _SEED}, None)}, "identity"),
     "reference_states": ["string"],
     "kid_reference": {"count": ("integer", 2, None), "seed": _SEED},
     "video": {"K": ("integer", 2, None), "gamma": ("number", _POSITIVE, 1), "seed": _SEED},
@@ -139,9 +141,9 @@ _CONFIG = {
 DEFAULTS = {
     "domain": {}, "pie": {}, "embedder": {}, "reference_states": [],
     "schedule": {"T": 50},
-    "mask": {"kind": _DEFAULT_MASK_KIND, "params": {"center": [10.0, 10.0], "radius": 5.5}},
+    "mask": {"kind": "disk", "params": {"center": [10.0, 10.0], "radius": 5.5}},
     "condition": {"source": {"class_id": 0}, "target": {"class_id": 1, "severity": 1.0}},
-    "start": {"kind": "mean", "seed": 1234},
+    "start": {"kind": "mean"},
     "kid_reference": {"count": 100, "seed": 777},
     "video": {"K": 16, "gamma": 0.6, "seed": 0},  # desk-scale configs use K=8
     "verify": {"stages": 100, "seeds": 50, "delta": 0.01, "x0_scale": 10.0, "burn_in": 5,
@@ -152,10 +154,11 @@ DEFAULTS = {
 
 
 def _merged(raw: dict, defaults: dict = DEFAULTS) -> dict:
-    """raw over defaults, merging nested objects key by key at every depth."""
-    out = json.loads(json.dumps(defaults))
+    """raw over defaults, merged at every depth but where raw names another kind."""
+    out, raw = json.loads(json.dumps(defaults)), json.loads(json.dumps(raw))
     for key, value in raw.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
+        if isinstance(value, dict) and isinstance(out.get(key), dict) \
+                and value.get("kind", out[key].get("kind")) == out[key].get("kind"):
             out[key] = _merged(value, out[key])
         else:
             out[key] = value
@@ -193,10 +196,7 @@ class RunConfig:
             model = cfg.model()
             for y in cfg.conditions():
                 model.mixture(y)
-            mask = cfg.mask()
-            if cfg.raw["mask"]["kind"] == "file":  # the path alone does not pin the mask down
-                cfg.raw["mask"]["sha256"] = hashlib.sha256(mask.tobytes()).hexdigest()
-            cfg.reference_states()
+            cfg.mask(), cfg.reference_states()
         except (TypeError, ValueError, IndexError, OverflowError, OSError) as err:
             # a value a constructor cannot take, or an input file that cannot be read
             raise InvalidArgument(f"config invalid: {err}") from err
@@ -231,15 +231,17 @@ class RunConfig:
         return image
 
     def mask(self) -> np.ndarray:
-        """The ROI mask; a file mask must be a domain image with entries in [0,1]."""
+        """The ROI mask; a file mask must be a domain image with entries in [0,1],
+        and the sha256 of its values, recorded at the first read, must not change."""
         mc = self.raw["mask"]
         if mc["kind"] != "file":
-            return toydata.make_mask(self.domain(), mc["kind"], mc["params"])
-        if "path" not in mc:
-            raise InvalidArgument("mask kind 'file' needs a path")
-        mask = self._read_image(mc["path"])
+            return toydata.make_mask(self.domain(), mc["kind"], mc.get("params"))
+        path, mask = self.base_dir / mc["path"], self._read_image(mc["path"])
         if mask.min() < 0 or mask.max() > 1:
-            raise InvalidArgument(f"{self.base_dir / mc['path']}: mask entries must lie in [0,1]")
+            raise InvalidArgument(f"{path}: mask entries must lie in [0,1]")
+        digest = hashlib.sha256(mask.tobytes()).hexdigest()
+        if mc.setdefault("sha256", digest) != digest:
+            raise InvalidArgument(f"{path} holds a mask of sha256 {digest}, not {mc['sha256']}")
         return mask
 
     def reference_states(self) -> list[np.ndarray]:

@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import importlib
 import importlib.util
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -36,9 +38,12 @@ SMALL_CONFIG = {
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
+    """SMALL_CONFIG with each override section updating its own, or replacing
+    it when it names another kind (a rect mask takes no disk params)."""
     cfg = json.loads(json.dumps(SMALL_CONFIG))
     for key, value in (overrides or {}).items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+        if isinstance(value, dict) and isinstance(cfg.get(key), dict) \
+                and value.get("kind", cfg[key].get("kind")) == cfg[key].get("kind"):
             cfg[key].update(value)
         else:
             cfg[key] = value
@@ -148,8 +153,10 @@ class TestTensorIO:
 
 
 # The JSON Schema that mvg.config checked every config against until its key
-# and type table (config._CONFIG) replaced it, kept verbatim: the reference the
-# differential test TestConfig::test_loader_agrees_with_schema compares with.
+# and type table (config._CONFIG) replaced it: the reference the differential
+# test TestConfig::test_loader_agrees_with_schema compares with, tightened
+# with the loader: mask, start and embedder take only the keys their kind
+# reads (_kinds), and a file mask may hold the sha256 that load records.
 _CONDITION = {
     "type": "object",
     "properties": {
@@ -173,11 +180,27 @@ _SCHEDULE = {
     "additionalProperties": False,
 }
 
-# mask.params keys make_mask reads per kind; full, empty and file read none and
-# accept either set, so a config can switch its kind and keep its old params.
-# A mask without a kind has the default kind, disk, and is checked as one.
-_MASK_PARAMS = {"disk": ["center", "radius", "feather"], "rect": ["y0", "x0", "y1", "x1"]}
-_DEFAULT_MASK_KIND = "disk"
+
+def _kinds(kinds: dict, default: str) -> dict:
+    """The schema of a section whose kind, default when it names none, picks
+    the properties it takes besides kind and those it requires: {kind: (properties, required)}."""
+    return {
+        "type": "object",
+        "properties": {"kind": {"enum": list(kinds)}},
+        "allOf": [{"if": {"properties": {"kind": {"const": kind}},
+                          "required": [] if kind == default else ["kind"]},
+                   "then": {"properties": {"kind": {}, **properties}, "required": required,
+                            "additionalProperties": False}}
+                  for kind, (properties, required) in kinds.items()],
+    }
+
+
+def _params(**properties) -> dict:
+    return {"params": {"type": "object", "properties": properties, "additionalProperties": False}}
+
+
+_NUMBER = {"type": "number"}
+_INTEGER = {"type": "integer"}
 
 SCHEMA = {
     "type": "object",
@@ -194,42 +217,25 @@ SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "mask": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["disk", "rect", "full", "empty", "file"]},
-                "params": {"type": "object",
-                           "propertyNames": {"enum": sum(_MASK_PARAMS.values(), [])}},
-                "path": {"type": "string"},
-            },
-            "additionalProperties": False,
-            "allOf": [{"if": {"properties": {"kind": {"const": kind}},
-                              "required": [] if kind == _DEFAULT_MASK_KIND else ["kind"]},
-                       "then": {"properties": {"params": {"propertyNames": {"enum": keys}}}}}
-                      for kind, keys in _MASK_PARAMS.items()],
-        },
+        "mask": _kinds({
+            "disk": (_params(center={"type": "array", "items": _NUMBER}, radius=_NUMBER,
+                             feather=_NUMBER), []),
+            "rect": (_params(y0=_INTEGER, x0=_INTEGER, y1=_INTEGER, x1=_INTEGER), []),
+            "full": ({}, []),
+            "empty": ({}, []),
+            # the SHA-256 of the file's mask, which load records and checks
+            "file": ({"path": {"type": "string"}, "sha256": {"type": "string"}}, ["path"]),
+        }, "disk"),
         "condition": {
             "type": "object",
             "properties": {"source": _CONDITION, "target": _CONDITION},
             "additionalProperties": False,
         },
-        "start": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["mean", "sample"]},
-                "seed": _SEED,
-            },
-            "additionalProperties": False,
-        },
-        "embedder": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["identity", "random_projection"]},
-                "out_dim": {"type": "integer", "minimum": 1},
-                "seed": _SEED,
-            },
-            "additionalProperties": False,
-        },
+        "start": _kinds({"mean": ({}, []), "sample": ({"seed": _SEED}, ["seed"])}, "mean"),
+        "embedder": _kinds({
+            "identity": ({}, []),
+            "random_projection": ({"out_dim": {"type": "integer", "minimum": 1}, "seed": _SEED}, []),
+        }, "identity"),
         "reference_states": {"type": "array", "items": {"type": "string"}},
         "kid_reference": {
             "type": "object",
@@ -277,14 +283,14 @@ SCHEMA = {
 }
 
 
-# config_hash() of each shipped config when SCHEMA still checked them: the
-# loader must keep what it reads from them, and so what every run records
+# config_hash() of each shipped config: the loader must keep what it reads
+# from them, and so what every run records
 SHIPPED_CONFIG_HASHES = {
-    "configs/ablate.json": "057d597dee0d0761",
+    "configs/ablate.json": "c9f61635cd14cf95",
     "configs/simulate.json": "7698eee68c665bfb",
-    "configs/verify.json": "d543f82339d98cce",
+    "configs/verify.json": "e4f007f6651942af",
     "configs/video.json": "66bd3ef10892798f",
-    "perfbench/verify.json": "6dd9ca6097e9bc7b",
+    "perfbench/verify.json": "cb2176648b171fab",
 }
 SCHEMA_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 # SCHEMA under a type checker whose integers exclude integral floats such as 3.0
@@ -305,10 +311,23 @@ def _paths(node, path=()):
 
 
 def _schema_paths(schema, path=()):
-    """(path, property schema) of every object property SCHEMA names."""
-    for key, sub in schema.get("properties", {}).items():
-        yield path + (key,), sub
-        yield from _schema_paths(sub, path + (key,))
+    """(path, property schema) of every object property SCHEMA names, those of
+    every kind of a kind-bearing section included."""
+    for branch in [schema] + [b["then"] for b in schema.get("allOf", [])]:
+        for key, sub in branch.get("properties", {}).items():
+            yield path + (key,), sub
+            yield from _schema_paths(sub, path + (key,))
+
+
+# per kind-bearing section, a valid set of keys for each kind; mask.mvgt is all ones
+ONES_SHA256 = hashlib.sha256(np.ones((16, 16)).tobytes()).hexdigest()
+KIND_KEYS = {
+    "mask": {"disk": {"params": {"center": [8.0, 8.0], "radius": 3.0, "feather": 1.0}},
+             "rect": {"params": {"y0": 2, "x0": 3, "y1": 9, "x1": 12}},
+             "full": {}, "empty": {}, "file": {"path": "mask.mvgt", "sha256": ONES_SHA256}},
+    "start": {"mean": {}, "sample": {"seed": 5}},
+    "embedder": {"identity": {}, "random_projection": {"out_dim": 8, "seed": 3}},
+}
 
 
 def _with(config, path, value):
@@ -342,13 +361,16 @@ def _mutations(base):
     for section, sub in SCHEMA["properties"].items():
         if sub.get("type") == "object":
             yield f"{section}+unknown", _with(base, (section, "unknown"), 1)
-    params = {"disk": {"center": [8.0, 8.0], "radius": 3.0, "feather": 1.0},
-              "rect": {"y0": 2, "x0": 3, "y1": 9, "x1": 12}}
-    for kind in ("disk", "rect", "full", "empty", "file"):  # every mask kind, either params
-        for given, p in params.items():
-            mask = {"kind": kind, "params": p, **({"path": "mask.mvgt"} if kind == "file" else {})}
-            yield f"mask {kind} with {given} params", _with(base, ("mask",), mask)
-            yield f"mask without kind with {given} params", _with(base, ("mask",), {"params": p})
+    for section, kinds in KIND_KEYS.items():  # every kind, alone, without kind, and with each key
+        for kind, keys in kinds.items():
+            yield f"{section} {kind}", _with(base, (section,), {"kind": kind, **keys})
+            yield f"{section} without kind, {kind} keys", _with(base, (section,), keys)
+            for other in kinds.values():
+                for key, value in other.items():
+                    yield (f"{section} {kind} with {key}",
+                           _with(base, (section,), {"kind": kind, **keys, key: value}))
+    yield "mask file, wrong sha256", _with(base, ("mask",), {**KIND_KEYS["mask"]["file"],
+                                                            "kind": "file", "sha256": "0" * 64})
     for seeds in ([3, 1, 2], [0], {"count": 3, "start": 5}, {"count": 2},  # both seeds forms
                   [], [1, 1], [2, -1], {"count": 0}, {"start": 1}, {"count": 2, "start": -1},
                   {"count": 2, "step": 1}, {"count": 2.0}, {"count": 10**30}):
@@ -376,9 +398,11 @@ def _constructor_rejects(raw, base_dir) -> bool:
         build_schedule(**c["verify"]["schedule"])
         make_embedder(**c["embedder"])
         if c["mask"]["kind"] == "file":
-            io.read_tensor(base_dir / c["mask"]["path"])
+            mask = io.read_tensor(base_dir / c["mask"]["path"])
+            if c["mask"].get("sha256", ONES_SHA256) != hashlib.sha256(mask.tobytes()).hexdigest():
+                return True
         else:
-            make_mask(spec, c["mask"]["kind"], c["mask"]["params"])
+            make_mask(spec, c["mask"]["kind"], c["mask"].get("params"))
     except Exception:  # noqa: BLE001 - any failure is a rejection
         return True
     return False
@@ -675,7 +699,7 @@ class TestSimulate:
         path = write_config(tmp_path, {"seeds": [0]})
         main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
         header, rows = read_csv(tmp_path / "out" / "seed_0000" / "metrics.csv")
-        assert header == ["run_id", "stage", "conf", "clip_i", "kid", "mae"]
+        assert header == ["run_id", "stage", "conf", "clip_i", "mae"]
         assert [r[1] for r in rows] == [str(n) for n in range(4)]
         assert rows[0][3] == "1.0"  # origin cosine
 
@@ -758,7 +782,7 @@ class TestSimulate:
         path = write_config(tmp_path, {"reference_states": refs, "seeds": [0]})
         main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
         _, rows = read_csv(tmp_path / "out" / "seed_0000" / "metrics.csv")
-        assert all(r[5] != "nan" for r in rows)
+        assert all(r[4] != "nan" for r in rows)
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -1228,6 +1252,27 @@ class TestMetricsCommand:
         assert csv_path.read_bytes() == before
         assert csv_path.stat().st_mtime_ns == stat.st_mtime_ns
 
+    def test_summary_follows_the_runs_metrics_read(self, tmp_path):
+        """metrics rewrites summary.csv over the runs it read: under the runs'
+        own config byte for byte, under another embedder with clip_i the seed
+        mean of the rewritten metrics.csv files and kid that embedder's kid of
+        the stored terminal states."""
+        path = write_config(tmp_path)  # seeds 0 and 1, N = 3
+        other = write_config(tmp_path, {"embedder": {"kind": "random_projection"}}, "other.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        before = (out / "summary.csv").read_bytes()
+        assert main(["metrics", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "summary.csv").read_bytes() == before
+        assert main(["metrics", "--config", str(other), "--out", str(out)]) == 0
+        _, summary = read_csv(out / "summary.csv")
+        runs = [read_csv(out / f"seed_{s:04d}" / "metrics.csv")[1] for s in (0, 1)]
+        assert [float(row[2]) for row in summary] == [
+            np.mean([float(rows[n][3]) for rows in runs]) for n in range(4)]
+        cfg = RunConfig.load(other)
+        terminal = [io.read_tensor(out / f"seed_{s:04d}" / "state_003.mvgt") for s in (0, 1)]
+        assert float(summary[-1][3]) == metrics.kid(terminal, cfg.kid_reference(), cfg.embedder())
+
     def test_seeds_flag_overrides(self, tmp_path):
         path = write_config(tmp_path, {"seeds": [0, 1]})
         out = tmp_path / "out"
@@ -1311,3 +1356,18 @@ def test_perfbench_setup_probe_runs(config, kind):
     out = subprocess.run([sys.executable, "perfbench/probe.py", "setup", config, kind], cwd=REPO,
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize("workload", ["edit_sweep", "clip_render", "bound_check"])
+def test_perfbench_traced_run_is_correct(tmp_path, workload):
+    """The benchmark's own output checks, traced gmm_eps images closed form
+    included, pass on a tiny traced run of each workload from a copy of the tree."""
+    for d in ("src", "configs", "perfbench"):
+        shutil.copytree(REPO / d, tmp_path / d, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(REPO / "BENCHMARK.json", tmp_path)
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+                          "--size", "tiny", "--trace", "1", "--seconds", "1"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, out.stdout
