@@ -203,9 +203,8 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
             raise InvalidArgument(f"{run_dir} holds {len(states)} state(s); a video needs at least two")
         runs.append((seed, run_dir, states))
     for seed, run_dir, states in runs:
-        tags = [(n, vseed, rng.CLIP) for n in range(1, len(states))]
-        skels = [make_clip_skeleton(states[n - 1], states[n], K, seed, tag=tag)
-                 for n, tag in enumerate(tags, start=1)]
+        skels = [make_clip_skeleton(states[n - 1], states[n], K, seed, n, vseed)
+                 for n in range(1, len(states))]
         clips = generate_transition(skels, mask, den, y_target, y_target, gamma)
         # clip n is frames (n-1)(K-1) .. n(K-1): concat_clips drops each later
         # clip's seam frame, which it has checked equals the one before it
@@ -216,8 +215,9 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
             "clips": len(clips),
             "config": cfg.raw,
             "expected_frames": K * len(clips) - (len(clips) - 1),
-            "per_clip": [{"seed": seed, "tag": list(tag), "start_state": n - 1, "end_state": n}
-                         for n, tag in enumerate(tags, start=1)],
+            # clip n's frame j draws from stream (seed, *key, j)
+            "per_clip": [{"seed": seed, "key": [rng.CLIP, n, vseed], "start_state": n - 1,
+                          "end_state": n} for n in range(1, len(states))],
         }
         with _fresh_dir(video_dir, manifest):
             _write_frames(video_dir, "frame", frames)
@@ -281,11 +281,11 @@ def cmd_ablate(cfg: RunConfig, out_dir: Path, seeds: list[int], jobs: int = 1) -
 
 def verify_model(shape) -> GmmModel:
     """Unit-variance, zero-mean single-Gaussian prior used by the decay suite."""
-    return GmmModel.single_class(Mixture(
+    return GmmModel({0: Mixture(
         weights=np.array([1.0]),
         means=np.zeros((1,) + tuple(shape)),
         variances=np.array([1.0]),
-    ))
+    )})
 
 
 def cmd_verify_bounds(cfg: RunConfig, out_dir: Path) -> int:

@@ -245,7 +245,11 @@ class RunConfig:
         return mask
 
     def reference_states(self) -> list[np.ndarray]:
-        return [self._read_image(p) for p in self.raw["reference_states"]]
+        """mae's reference image of each of a run's first states, at most its N + 1."""
+        paths, N = self.raw["reference_states"], self.pie_config().N
+        if len(paths) > N + 1:
+            raise InvalidArgument(f"{len(paths)} reference_states for the {N + 1} states of a run")
+        return [self._read_image(p) for p in paths]
 
     def pie_config(self) -> PieConfig:
         return PieConfig(**self.raw["pie"])
@@ -261,8 +265,7 @@ class RunConfig:
         source = self.conditions()[0]
         mean = toydata.render_mean(spec, source.class_id, source.severity)
         if st["kind"] == "sample":
-            noise = rng.normal(mean.shape, st["seed"])
-            return mean + spec.noise_sigma * noise
+            return mean + spec.noise_sigma * rng.normal(mean.shape, st["seed"], rng.START)
         return mean
 
     def embedder(self):

@@ -87,10 +87,6 @@ class Mixture:
     def event_shape(self) -> tuple:
         return self.means.shape[1:]
 
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.event_shape))
-
 
 def _component_logits(x, mu, ab: float, log_w, var) -> np.ndarray:
     """log(wᵢ·N(x; √ᾱ·μᵢ, VᵢI)) of rows x (B, d) for components μ (m, d) at
@@ -145,10 +141,6 @@ class GmmModel:
         if len(shapes) != 1:
             raise InvalidArgument("all class mixtures must share an event shape")
         self.class_mixtures = dict(class_mixtures)
-
-    @classmethod
-    def single_class(cls, mix: Mixture, class_id: int = 0) -> "GmmModel":
-        return cls({class_id: mix})
 
     @property
     def class_ids(self) -> list[int]:

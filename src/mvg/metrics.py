@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .denoiser import Condition, GmmModel, _log_normalize, mixture_logpdf
 from .errors import DegenerateMixture, InvalidArgument
 from .scheduler import _check_same_shape
@@ -27,7 +28,7 @@ class IdentityEmbedder:
 
 
 class RandomProjectionEmbedder:
-    """Fixed-seed Gaussian projection to out_dim features, then L2-normalize."""
+    """Gaussian projection to out_dim features, drawn from stream (seed, EMBED), then L2-normalize."""
 
     def __init__(self, out_dim: int = 64, seed: int = 0):
         self.out_dim = out_dim
@@ -36,7 +37,7 @@ class RandomProjectionEmbedder:
 
     def _matrix(self, in_dim: int) -> np.ndarray:
         if in_dim not in self._proj:
-            g = np.random.Generator(np.random.Philox(np.random.SeedSequence(self.seed)))
+            g = rng.stream(self.seed, rng.EMBED)
             self._proj[in_dim] = g.standard_normal((in_dim, self.out_dim)) / np.sqrt(in_dim)
         return self._proj[in_dim]
 
@@ -114,19 +115,11 @@ def _mmd2_unbiased(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def kid(set_a, set_b, e) -> float:
-    """Unbiased squared MMD with the degree-3 polynomial kernel over embedded
-    features, averaged over consecutive blocks of size min(n, 100)."""
+    """Unbiased squared MMD with the degree-3 polynomial kernel between the
+    two full sets of embedded features."""
     if len(set_a) < 2 or len(set_b) < 2:
         raise InvalidArgument("kid needs at least two items per set")
-    fa = np.stack([e(x) for x in set_a])
-    fb = np.stack([e(x) for x in set_b])
-    m = min(len(fa), len(fb), 100)
-    n_blocks = min(len(fa) // m, len(fb) // m)
-    vals = [
-        _mmd2_unbiased(fa[i * m:(i + 1) * m], fb[i * m:(i + 1) * m])
-        for i in range(n_blocks)
-    ]
-    return float(np.mean(vals))
+    return _mmd2_unbiased(np.stack([e(x) for x in set_a]), np.stack([e(x) for x in set_b]))
 
 
 def mae(a, b) -> float:

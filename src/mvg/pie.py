@@ -10,7 +10,7 @@ the ROI mask:
 
 The recursions (``pie_run``, ``decay_probe_run``) run a list of seeds as one
 (B, *event) batch under the schedule the denoiser holds; row b's noise comes
-from its own stream (seeds[b], stage), so a seed's results do not depend on
+from its own stream of seed seeds[b], so a seed's results do not depend on
 its batch-mates. ``pie_run``'s rows may carry their own N, β₁ and β₂ (one γ
 per batch); it keeps every state in one (B, max N + 1, *event) table and
 returns row b as its (N_b + 1, *event) view.
@@ -157,10 +157,10 @@ def _row_configs(cfg, n_rows: int) -> list[PieConfig]:
     return cfgs
 
 
-def _noise(shape, seeds, stage: int) -> np.ndarray:
-    """(B, *shape) unit normals; row b is stream (seeds[b], stage), drawn
+def _noise(shape, seeds, kind: int, *index: int) -> np.ndarray:
+    """(B, *shape) unit normals; row b is stream (seeds[b], kind, *index), drawn
     once per distinct seed (an ablate batch repeats each seed once per cell)."""
-    draws = {seed: rng.normal(shape, seed, stage=stage) for seed in dict.fromkeys(seeds)}
+    draws = {seed: rng.normal(shape, seed, kind, *index) for seed in dict.fromkeys(seeds)}
     return np.stack([draws[seed] for seed in seeds])
 
 
@@ -172,7 +172,7 @@ def pie_run(x0, y_target, cfg, d, m, seeds) -> list[np.ndarray]:
     as an (N_b + 1, *event) array, a view of the batch's one state table.
 
     Stage n takes the live rows, noises row b to k = ⌊γT⌋ of d.schedule from
-    stream (seeds[b], n), runs the reverse chain under y_target and
+    stream (seeds[b], EDIT, n), runs the reverse chain under y_target and
     ROI-composites with row b's β₁, β₂."""
     _check_seeds(seeds)
     cfgs = _row_configs(cfg, len(seeds))
@@ -188,7 +188,8 @@ def pie_run(x0, y_target, cfg, d, m, seeds) -> list[np.ndarray]:
     states[:, 0] = x0
     for n in range(1, states.shape[1]):
         live = np.flatnonzero(n_stages >= n)
-        x_k = forward_diffuse(states[live, n - 1], k, _noise(x0.shape, [seeds[b] for b in live], n), s)
+        x_k = forward_diffuse(states[live, n - 1], k,
+                              _noise(x0.shape, [seeds[b] for b in live], rng.EDIT, n), s)
         x_gen = ddim_chain(x_k, k, d, y_target)
         states[live, n] = composite_roi(x_gen, np.broadcast_to(x0, x_gen.shape), m,
                                         beta1[live], beta2[live])
@@ -268,7 +269,7 @@ def decay_probe_run(x0, denoiser, y, n_stages: int, seeds) -> DecayProbes:
     """Pure-edit recursion under denoiser.schedule, once per seed as one batch.
 
     Each stage rolls the state to the t=2 level with a single per-run noise
-    draw, stream (seed, 0), and takes one reverse step, landing at the t=1
+    draw, stream (seed, PROBE), and takes one reverse step, landing at the t=1
     level (cumulative ᾱ₀ = alpha_bars[1] < 1). With a full mask and unit
     blends the ROI composite is the identity, so it is omitted. Reusing one ε
     per run is what makes the per-stage map affine, hence exactly geometric
@@ -280,7 +281,7 @@ def decay_probe_run(x0, denoiser, y, n_stages: int, seeds) -> DecayProbes:
         raise InvalidArgument("decay probe needs T >= 2")
     _check_seeds(seeds)
     x0 = np.asarray(x0, dtype=np.float64)
-    eps = _noise(x0.shape, seeds, 0)
+    eps = _noise(x0.shape, seeds, rng.PROBE)
     c2 = np.zeros(len(seeds))
     # C order: mean(axis=0) adds the probes' rows in seed order, which fixes mean_slope's last bits
     deltas = np.empty((len(seeds), n_stages))

@@ -110,11 +110,11 @@ def build_domain(spec: DomainSpec) -> GmmModel:
 
 
 def sample(m: GmmModel, y: Condition, n: int, seed: int) -> list[np.ndarray]:
-    """n i.i.d. draws from the conditional mixture, deterministic under seed."""
+    """n i.i.d. draws from the conditional mixture, from stream (seed, SAMPLE)."""
     if n < 1:
         raise InvalidArgument("n must be >= 1")
     mix = m.mixture(y)
-    g = rng.stream(seed)
+    g = rng.stream(seed, rng.SAMPLE)
     idx = g.choice(len(mix.weights), size=n, p=mix.weights)
     z = g.standard_normal((n,) + mix.event_shape)
     sig = np.sqrt(mix.variances)[idx].reshape((n,) + (1,) * len(mix.event_shape))
@@ -133,6 +133,8 @@ def make_mask(spec: DomainSpec, kind: str, params: dict | None = None) -> np.nda
         if not {"center", "radius"} <= params.keys():
             raise InvalidArgument(f"disk mask needs center and radius, got {sorted(params)}")
         center = tuple(params["center"])
+        if len(center) != 2:
+            raise InvalidArgument(f"disk center {list(center)} is not two numbers")
         radius = float(params["radius"])
         feather = float(params.get("feather", 0.0))
         if not (0 <= center[0] < h and 0 <= center[1] < w) or radius < 0:

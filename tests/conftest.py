@@ -23,15 +23,13 @@ def default_model(default_domain):
 @pytest.fixture(scope="session")
 def std_normal_model():
     """Single standard-normal prior over a scalar event."""
-    return GmmModel.single_class(
-        Mixture(np.array([1.0]), np.array([[0.0]]), np.array([1.0]))
-    )
+    return GmmModel({0:
+        Mixture(np.array([1.0]), np.array([[0.0]]), np.array([1.0]))})
 
 
 def std_normal_denoiser(shape, schedule):
-    model = GmmModel.single_class(
-        Mixture(np.array([1.0]), np.zeros((1,) + tuple(shape)), np.array([1.0]))
-    )
+    model = GmmModel({0:
+        Mixture(np.array([1.0]), np.zeros((1,) + tuple(shape)), np.array([1.0]))})
     return GmmDenoiser(model, schedule)
 
 

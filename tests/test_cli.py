@@ -218,8 +218,8 @@ SCHEMA = {
             "additionalProperties": False,
         },
         "mask": _kinds({
-            "disk": (_params(center={"type": "array", "items": _NUMBER}, radius=_NUMBER,
-                             feather=_NUMBER), []),
+            "disk": (_params(center={"type": "array", "items": _NUMBER, "minItems": 2,
+                                     "maxItems": 2}, radius=_NUMBER, feather=_NUMBER), []),
             "rect": (_params(y0=_INTEGER, x0=_INTEGER, y1=_INTEGER, x1=_INTEGER), []),
             "full": ({}, []),
             "empty": ({}, []),
@@ -502,7 +502,7 @@ class TestConfig:
         cfg = RunConfig.from_dict(source)
         assert np.array_equal(cfg.start_image(), render_mean(cfg.domain(), 1, 0.7))
         sampled = RunConfig.from_dict({**source, "start": {"kind": "sample", "seed": 5}})
-        noise = cfg.domain().noise_sigma * rng.normal((16, 16), 5)
+        noise = cfg.domain().noise_sigma * rng.normal((16, 16), 5, rng.START)
         assert np.array_equal(sampled.start_image(), render_mean(cfg.domain(), 1, 0.7) + noise)
         assert not np.array_equal(cfg.start_image(), RunConfig.from_dict({}).start_image())
 
@@ -608,13 +608,14 @@ class TestFlags:
     @pytest.mark.parametrize("command", ["simulate", "ablate"])
     @pytest.mark.parametrize("overrides", [
         {"mask": {"kind": "disk", "params": {"center": [10.0, 10.0], "radius": 20.0}}},
+        {"mask": {"kind": "disk", "params": {"center": [10.0, 10.0, 99.0], "radius": 5.0}}},
         {"condition": {"target": {"class_id": 7}}},
         {"schedule": {"T": 10, "beta_start": 0.5, "beta_end": 0.1}},
         {"pie": {"gamma": 0.01}},  # ⌊γT⌋ = 0 at T = 10
         {"video": {"gamma": 0.05}},
         SWEEP_GAMMA_ZERO_STEPS,
-    ], ids=["mask_radius", "target_class", "beta_order", "pie_gamma", "video_gamma",
-            "sweep_gamma"])
+    ], ids=["mask_radius", "mask_center_of_three", "target_class", "beta_order", "pie_gamma",
+            "video_gamma", "sweep_gamma"])
     def test_constructor_errors_rejected_before_any_output(self, tmp_path, capsys, command,
                                                            overrides):
         path = write_config(tmp_path, overrides)
@@ -784,6 +785,25 @@ class TestSimulate:
         _, rows = read_csv(tmp_path / "out" / "seed_0000" / "metrics.csv")
         assert all(r[4] != "nan" for r in rows)
 
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_reference_states_past_the_run_rejected(self, tmp_path, capsys, count):
+        """A run of N = 2 has 3 states: 3 reference files fill every stage's
+        mae, and 5 fail at load, before any output."""
+        refs = []
+        for n in range(count):
+            io.write_tensor(tmp_path / f"ref_{n}.mvgt", np.full((16, 16), 0.1 * n))
+            refs.append(f"ref_{n}.mvgt")
+        path = write_config(tmp_path, {"reference_states": refs, "pie": {"N": 2}, "seeds": [0]})
+        out = tmp_path / "out"
+        if count == 5:
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+            assert "error: config invalid: 5 reference_states" in capsys.readouterr().err
+            assert not out.exists()
+            return
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "seed_0000" / "metrics.csv")
+        assert len(rows) == 3 and all(r[4] != "nan" for r in rows)
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"pie": {"gamma": -1}}')
@@ -819,8 +839,8 @@ class TestVideo:
     def test_clip_noise_keyed_by_run_seed(self, tmp_path, monkeypatch):
         skeletons = []
 
-        def spy(x_start, x_end, K, seed, tag=()):
-            skel = make_clip_skeleton(x_start, x_end, K, seed, tag=tag)
+        def spy(x_start, x_end, K, seed, clip, video_seed):
+            skel = make_clip_skeleton(x_start, x_end, K, seed, clip, video_seed)
             skeletons.append((seed, skel[1:-1]))
             return skel
 
@@ -833,7 +853,7 @@ class TestVideo:
         assert len(skeletons) == 2 * N
         for seed, middle in skeletons:
             for stage in range(N + 1):
-                stage_noise = rng.normal((16, 16), seed, stage=stage)
+                stage_noise = rng.normal((16, 16), seed, rng.EDIT, stage)
                 assert not any(np.array_equal(f, stage_noise) for f in middle)
         for (_, run0), (_, run1) in zip(skeletons[:N], skeletons[N:]):
             assert not np.any(run0 == run1)
@@ -841,7 +861,7 @@ class TestVideo:
     def test_video_frames_written_once(self, tmp_path, monkeypatch):
         """video/ holds the run's concat_clips stack, each frame written once
         as a file of its own; no clip directory is made, and the manifest
-        lists every clip's noise tag and state pair."""
+        lists every clip's noise key and state pair."""
         K = 4
         path = write_config(tmp_path, {"seeds": [0], "video": {"K": K, "gamma": 0.5, "seed": 3}})
         out = tmp_path / "out"
@@ -871,7 +891,7 @@ class TestVideo:
         manifest = io.read_json(run / "video" / "manifest.json")
         assert manifest["status"] == "complete"
         assert manifest["per_clip"] == [
-            {"seed": 0, "tag": [n, 3, rng.CLIP], "start_state": n - 1, "end_state": n}
+            {"seed": 0, "key": [rng.CLIP, n, 3], "start_state": n - 1, "end_state": n}
             for n in range(1, N + 1)]
 
     def test_zero_stage_run_rejected_before_any_output(self, tmp_path, capsys):

@@ -69,7 +69,7 @@ class TestGmmEps:
 
     def test_symmetric_components_cancel(self, sched50):
         mu = np.array([[1.0, -2.0], [-1.0, 2.0]])
-        model = GmmModel.single_class(Mixture(np.array([0.5, 0.5]), mu, np.array([1.0, 1.0])))
+        model = GmmModel({0: Mixture(np.array([0.5, 0.5]), mu, np.array([1.0, 1.0]))})
         out = gmm_eps(np.zeros(2), 7, Condition(0), model, sched50)
         np.testing.assert_allclose(out, 0.0, atol=1e-14)
 
@@ -127,8 +127,8 @@ class TestGmmEps:
             gmm_eps(np.array([np.nan]), 1, Condition(0), std_normal_model, sched50)
 
     def test_degenerate_mixture_signaled(self, sched50):
-        model = GmmModel.single_class(
-            Mixture(np.array([1.0]), np.array([[0.0]]), np.array([1e-300])))
+        model = GmmModel({0:
+            Mixture(np.array([1.0]), np.array([[0.0]]), np.array([1e-300]))})
         with pytest.raises(DegenerateMixture):
             gmm_eps(np.array([1e160]), 50, Condition(0), model, sched50)
 
@@ -178,7 +178,7 @@ class TestKernelOracle:
 
     @staticmethod
     def row(mix, ab, dist):
-        u = np.random.default_rng(17).standard_normal(mix.dim)
+        u = np.random.default_rng(17).standard_normal(mix.means[0].size)
         return np.sqrt(ab) * mix.means[2].ravel() + dist * u
 
     @pytest.mark.parametrize("dist", [0.3, 10.0, 1e3])

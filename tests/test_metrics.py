@@ -179,6 +179,16 @@ class TestKid:
         e = RandomProjectionEmbedder(seed=0)
         assert kid(a, b, e) == pytest.approx(kid(b, a, e), rel=1e-12)
 
+    def test_every_item_counts(self, default_model):
+        """300 states against 100 references: changing state 250 moves the
+        kid, and so does changing it on the reference side."""
+        a = sample(default_model, Condition(0, 0.2), 300, seed=5)
+        b = sample(default_model, Condition(1, 0.9), 100, seed=6)
+        changed = a[:250] + [b[0]] + a[251:]
+        e = RandomProjectionEmbedder(seed=0)
+        assert kid(a, b, e) != kid(changed, b, e)
+        assert kid(b, a, e) != kid(b, changed, e)
+
     def test_too_small_sets_rejected(self):
         with pytest.raises(InvalidArgument):
             kid([np.ones(2)], [np.ones(2), np.zeros(2)], IdentityEmbedder())

@@ -111,7 +111,7 @@ class TestPieStage:
         (states,) = pie_run(x_prev, Condition(0), cfg, den, np.ones((6, 6)), [7])
         out = states[1]
         k = stage_step_count(cfg.gamma, sched50)
-        eps = mvg_rng.normal((6, 6), 7, stage=1)
+        eps = mvg_rng.normal((6, 6), 7, mvg_rng.EDIT, 1)
         manual = ddim_chain(forward_diffuse(x_prev, k, eps, sched50), k, den, Condition(0))
         assert np.array_equal(out, manual)
 
@@ -131,19 +131,19 @@ class TestPieRun:
             pie_run(np.ones((4, 4)), Condition(0), PieConfig(N=N), den, np.ones((4, 4)), seeds=[])
 
     def test_noise_draws_each_seed_once(self, monkeypatch):
-        """Row b of a stage's noise is stream (seeds[b], stage); a seed that
-        repeats across rows, as in an ablate batch, is drawn once."""
+        """Row b of a stage's noise is stream (seeds[b], EDIT, stage); a seed
+        that repeats across rows, as in an ablate batch, is drawn once."""
         normal, drawn = mvg_rng.normal, []
 
-        def counted(shape, seed, stage=0):
+        def counted(shape, seed, kind, *index):
             drawn.append(seed)
-            return normal(shape, seed, stage=stage)
+            return normal(shape, seed, kind, *index)
 
         monkeypatch.setattr(mvg_rng, "normal", counted)
-        rows = _noise((4, 4), [3, 5, 3], 7)
+        rows = _noise((4, 4), [3, 5, 3], mvg_rng.EDIT, 7)
         assert sorted(drawn) == [3, 5]
         for row, seed in zip(rows, [3, 5, 3]):
-            assert np.array_equal(row, normal((4, 4), seed, stage=7))
+            assert np.array_equal(row, normal((4, 4), seed, mvg_rng.EDIT, 7))
 
     def test_n_zero_single_state(self, sched50):
         den = std_normal_denoiser((3, 3), sched50)
@@ -168,8 +168,8 @@ class TestPieRun:
         a = 0.81
         mu, s2 = 0.5, 1.0
         s = build_schedule(1, 1 - a, 1 - a)
-        model = GmmModel.single_class(
-            Mixture(np.array([1.0]), np.array([[mu]]), np.array([s2])))
+        model = GmmModel({0:
+            Mixture(np.array([1.0]), np.array([[mu]]), np.array([s2]))})
         den = GmmDenoiser(model, s)
         x0, N, n_seeds = 2.0, 15, 200
         V = a * s2 + (1 - a)
@@ -404,7 +404,7 @@ class TestRowNorms:
         x0 = 10.0 * np.ones((16, 16))
         seeds = range(50)
         probes = decay_probe_run(x0, den, Condition(0), n_stages=100, seeds=seeds)
-        eps = np.stack([mvg_rng.normal(x0.shape, seed, stage=0) for seed in seeds])
+        eps = np.stack([mvg_rng.normal(x0.shape, seed, mvg_rng.PROBE) for seed in seeds])
         states = [np.broadcast_to(x0, eps.shape)]
         c2 = np.zeros(len(seeds))
         for _ in range(100):

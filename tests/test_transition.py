@@ -21,8 +21,8 @@ SIGMA_GEN_L2 = 16.15
 def fixed_point_setup(sched):
     spec = DomainSpec()
     u = render_mean(spec, 1, 0.5)
-    den = GmmDenoiser(GmmModel.single_class(Mixture(
-        np.array([1.0]), u[None], np.array([1.0]))), sched)
+    den = GmmDenoiser(GmmModel({0: Mixture(
+        np.array([1.0]), u[None], np.array([1.0]))}), sched)
     return u, den
 
 
@@ -170,7 +170,7 @@ class TestGenerateTransition:
                 return GmmDenoiser(model, sched).predict(x, t, y)
 
         states = sample(model, Condition(1, 0.9), N + 1, seed=41)
-        skels = [make_clip_skeleton(states[n - 1], states[n], K, seed=7, tag=(n,))
+        skels = [make_clip_skeleton(states[n - 1], states[n], K, seed=7, clip=n)
                  for n in range(1, N + 1)]
         if distinct_ends:
             y_start = [Condition(0, 0.2), Condition(1, 0.9), Condition(0, 0.2), Condition(0, 0.5)]
