@@ -215,8 +215,7 @@ def cmd_video(cfg: RunConfig, out_dir: Path, seeds: list[int]) -> int:
             "clips": len(clips),
             "config": cfg.raw,
             "expected_frames": K * len(clips) - (len(clips) - 1),
-            # clip n's frame j draws from stream (seed, *key, j)
-            "per_clip": [{"seed": seed, "key": [rng.CLIP, n, vseed], "start_state": n - 1,
+            "per_clip": [{"seed": seed, "key": list(rng.clip_key(n, vseed)), "start_state": n - 1,
                           "end_state": n} for n in range(1, len(states))],
         }
         with _fresh_dir(video_dir, manifest):

@@ -105,13 +105,10 @@ def _poly_kernel(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _mmd2_unbiased(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = len(a), len(b)
-    k_aa = _poly_kernel(a, a)
-    k_bb = _poly_kernel(b, b)
-    k_ab = _poly_kernel(a, b)
-    sum_aa = (k_aa.sum() - np.trace(k_aa)) / (na * (na - 1))
-    sum_bb = (k_bb.sum() - np.trace(k_bb)) / (nb * (nb - 1))
-    return float(sum_aa + sum_bb - 2.0 * k_ab.mean())
+    def within(u):  # the kernel's mean over pairs of distinct items of u
+        k = _poly_kernel(u, u)
+        return (k.sum() - np.trace(k)) / (len(u) * (len(u) - 1))
+    return float(within(a) + within(b) - 2.0 * _poly_kernel(a, b).mean())
 
 
 def kid(set_a, set_b, e) -> float:

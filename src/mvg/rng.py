@@ -31,3 +31,8 @@ def stream(seed: int, kind: int, *index: int) -> np.random.Generator:
 def normal(shape, seed: int, kind: int, *index: int) -> np.ndarray:
     """One unit-normal array from the keyed stream."""
     return stream(seed, kind, *index).standard_normal(shape)
+
+
+def clip_key(clip: int, video_seed: int) -> tuple[int, int, int]:
+    """Spawn key of transition clip n's frames, less the frame index j."""
+    return (CLIP, int(clip), int(video_seed))

@@ -34,9 +34,9 @@ def _checked_clip(frames) -> np.ndarray:
     return frames
 
 
-def make_clip_skeleton(x_start, x_end, K: int, seed: int, clip=0, video_seed=0) -> np.ndarray:
+def make_clip_skeleton(x_start, x_end, K: int, seed: int, clip: int, video_seed: int) -> np.ndarray:
     """The (K, *event) stack [x_start, noise…, x_end]; middle frame j is
-    unit-normal from stream (seed, CLIP, clip, video_seed, j)."""
+    unit-normal from stream (seed, *rng.clip_key(clip, video_seed), j)."""
     if K < 2:
         raise InvalidArgument(f"K must be >= 2, got {K}")
     x_start = np.asarray(x_start, dtype=np.float64)
@@ -46,7 +46,7 @@ def make_clip_skeleton(x_start, x_end, K: int, seed: int, clip=0, video_seed=0) 
     frames[0] = x_start
     frames[K - 1] = x_end
     for j in range(1, K - 1):
-        frames[j] = rng.normal(x_start.shape, seed, rng.CLIP, clip, video_seed, j)
+        frames[j] = rng.normal(x_start.shape, seed, *rng.clip_key(clip, video_seed), j)
     return frames
 
 

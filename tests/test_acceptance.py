@@ -181,7 +181,7 @@ def test_c08_transition_contracts():
         yb = Condition(int(rng.integers(0, 2)), float(rng.uniform()))
         x_start = sample(model, ya, 1, seed=400 + case)[0]
         x_end = sample(model, yb, 1, seed=500 + case)[0]
-        skel = make_clip_skeleton(x_start, x_end, 8, seed=case)
+        skel = make_clip_skeleton(x_start, x_end, 8, seed=case, clip=0, video_seed=0)
         (clip,) = generate_transition([skel], mask, den, ya, yb, 0.6)
         endpoint_bad += not (np.array_equal(clip[0], x_start)
                              and np.array_equal(clip[-1], x_end))

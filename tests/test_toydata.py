@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import chi2, norm
 
 from mvg import Condition
 from mvg.errors import InvalidArgument
@@ -70,20 +70,25 @@ class TestSample:
             assert np.array_equal(x, y)
 
     def test_clt_sample_mean(self, default_domain, default_model):
-        """Pixelwise sample mean within z sigma/sqrt(n) of the mixture mean,
-        where sigma includes the between-component variance. z is Bonferroni's
-        over the 256 pixels: a correct sampler leaves some pixel's band at
-        most as often as one pixel leaves its 3-sigma band (0.27%); a 3-sigma
-        band on every pixel fails about a third of seeds."""
+        """The mean of n draws is within the CLT's reach of the mixture mean.
+        Two checks, each failing a correct sampler at most 0.27% of the time,
+        as one pixel's 3-sigma band does. Every pixel lies within
+        z sigma/sqrt(n), z Bonferroni's over the 256 pixels (a 3-sigma band on
+        every pixel fails about a third of seeds). For an error spread thinly
+        over many pixels, n e' S^-1 e lies below the chi2(256) quantile, S one
+        draw's covariance: every pixel of a draw shares its component, so the
+        plain sum of squared pixel z's is no chi2(256) sum."""
         n = 10_000
-        draws = np.stack(sample(default_model, Condition(1), n, seed=21))
+        draws = np.stack(sample(default_model, Condition(1), n, seed=21)).reshape(n, -1)
         mix = default_model.class_mixtures[1]
-        mean = np.einsum("i,i...->...", mix.weights, mix.means)
-        second = np.einsum("i,i...->...", mix.weights,
-                           mix.means**2 + mix.variances[:, None, None])
-        std = np.sqrt(second - mean**2)
-        bound = norm.isf(norm.sf(3) / mean.size) * std / np.sqrt(n)
-        assert np.all(np.abs(draws.mean(axis=0) - mean) <= bound)
+        w, means = mix.weights, mix.means.reshape(len(mix.weights), -1)
+        mean = w @ means
+        cov = (np.diag(np.full(mean.size, w @ mix.variances)) + (means.T * w) @ means
+               - np.outer(mean, mean))
+        err = draws.mean(axis=0) - mean
+        z = norm.isf(norm.sf(3) / mean.size)
+        assert np.all(np.abs(err) <= z * np.sqrt(np.diag(cov) / n))
+        assert n * err @ np.linalg.solve(cov, err) <= chi2.isf(2 * norm.sf(3), mean.size)
 
     def test_n_below_one_rejected(self, default_model):
         with pytest.raises(InvalidArgument):

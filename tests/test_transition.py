@@ -29,32 +29,32 @@ def fixed_point_setup(sched):
 class TestSkeleton:
     def test_k2_no_noise_frames(self):
         a, b = np.zeros((3, 3)), np.ones((3, 3))
-        clip = make_clip_skeleton(a, b, 2, seed=0)
+        clip = make_clip_skeleton(a, b, 2, seed=0, clip=0, video_seed=0)
         assert len(clip) == 2
         assert np.array_equal(clip[0], a) and np.array_equal(clip[1], b)
 
     def test_k4_structure(self):
         a, b = np.zeros((3, 3)), np.ones((3, 3))
-        clip = make_clip_skeleton(a, b, 4, seed=5)
+        clip = make_clip_skeleton(a, b, 4, seed=5, clip=0, video_seed=0)
         assert np.array_equal(clip[0], a) and np.array_equal(clip[3], b)
         for j in (1, 2):  # unit-normal middles, not the endpoints
             assert 0.1 < clip[j].std() < 3.0
 
     def test_same_seed_bit_identical(self):
         a, b = np.zeros((4, 4)), np.ones((4, 4))
-        c1 = make_clip_skeleton(a, b, 6, seed=9)
-        c2 = make_clip_skeleton(a, b, 6, seed=9)
+        c1 = make_clip_skeleton(a, b, 6, seed=9, clip=0, video_seed=0)
+        c2 = make_clip_skeleton(a, b, 6, seed=9, clip=0, video_seed=0)
         assert np.array_equal(c1, c2)
-        c3 = make_clip_skeleton(a, b, 6, seed=10)
+        c3 = make_clip_skeleton(a, b, 6, seed=10, clip=0, video_seed=0)
         assert not np.array_equal(c1, c3)
 
     def test_k_below_two_rejected(self):
         with pytest.raises(InvalidArgument):
-            make_clip_skeleton(np.zeros(2), np.zeros(2), 1, seed=0)
+            make_clip_skeleton(np.zeros(2), np.zeros(2), 1, seed=0, clip=0, video_seed=0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            make_clip_skeleton(np.zeros((2, 2)), np.zeros((3, 3)), 4, seed=0)
+            make_clip_skeleton(np.zeros((2, 2)), np.zeros((3, 3)), 4, seed=0, clip=0, video_seed=0)
 
 
 class TestGenerateTransition:
@@ -65,7 +65,7 @@ class TestGenerateTransition:
         x_end = u + 0.3 * rng.uniform(size=u.shape)
         mask = np.zeros(u.shape)
         mask[4:12, 4:12] = 1.0
-        skel = make_clip_skeleton(x_start, x_end, 6, seed=3)
+        skel = make_clip_skeleton(x_start, x_end, 6, seed=3, clip=0, video_seed=0)
         (clip,) = generate_transition([skel], mask, den, Condition(0), Condition(0), 0.6)
         assert np.array_equal(clip[0], x_start)
         assert np.array_equal(clip[-1], x_end)
@@ -79,7 +79,7 @@ class TestGenerateTransition:
         mask = np.ones(u.shape)
         devs = []
         for seed in range(50):
-            skel = make_clip_skeleton(u, u, 8, seed=seed)
+            skel = make_clip_skeleton(u, u, 8, seed=seed, clip=0, video_seed=0)
             (clip,) = generate_transition([skel], mask, den, Condition(0), Condition(0), 0.6)
             for j in range(1, 7):
                 devs.append(np.sqrt(np.mean((clip[j] - u) ** 2)))
@@ -87,14 +87,14 @@ class TestGenerateTransition:
 
     def test_deterministic_under_seed(self, sched50):
         u, den = fixed_point_setup(sched50)
-        skel = make_clip_skeleton(u, u + 0.1, 5, seed=21)
+        skel = make_clip_skeleton(u, u + 0.1, 5, seed=21, clip=0, video_seed=0)
         (c1,) = generate_transition([skel], np.ones(u.shape), den, Condition(0), Condition(0), 0.5)
         (c2,) = generate_transition([skel], np.ones(u.shape), den, Condition(0), Condition(0), 0.5)
         assert np.array_equal(c1, c2)
 
     def test_invalid_gamma(self, sched50):
         u, den = fixed_point_setup(sched50)
-        skel = make_clip_skeleton(u, u, 4, seed=0)
+        skel = make_clip_skeleton(u, u, 4, seed=0, clip=0, video_seed=0)
         with pytest.raises(InvalidArgument):
             generate_transition([skel], np.ones(u.shape), den,
                                 Condition(0), Condition(0), gamma=0.001)
@@ -114,7 +114,7 @@ class TestGenerateTransition:
                                (Condition(1, 0.9), Condition(1, 0.9))):
             x_start = sample(model, y_start, 1, seed=31)[0]
             x_end = sample(model, y_end, 1, seed=32)[0]
-            skel = make_clip_skeleton(x_start, x_end, K, seed=4)
+            skel = make_clip_skeleton(x_start, x_end, K, seed=4, clip=0, video_seed=0)
             (clip,) = generate_transition([skel], mask, den, y_start, y_end, gamma)
             avg = 0.5 * (x_start + x_end)
             assert np.array_equal(clip[0], x_start)
@@ -139,7 +139,7 @@ class TestGenerateTransition:
             yb = Condition(int(rng.integers(0, 2)), float(rng.uniform()))
             x_start = sample(model, ya, 1, seed=100 + case)[0]
             x_end = sample(model, yb, 1, seed=200 + case)[0]
-            skel = make_clip_skeleton(x_start, x_end, 8, seed=case)
+            skel = make_clip_skeleton(x_start, x_end, 8, seed=case, clip=0, video_seed=0)
             (clip,) = generate_transition([skel], mask, den, ya, yb, 0.6)
             span = np.linalg.norm(x_end - x_start)
             for j in range(1, len(clip) - 2):
@@ -170,7 +170,7 @@ class TestGenerateTransition:
                 return GmmDenoiser(model, sched).predict(x, t, y)
 
         states = sample(model, Condition(1, 0.9), N + 1, seed=41)
-        skels = [make_clip_skeleton(states[n - 1], states[n], K, seed=7, clip=n)
+        skels = [make_clip_skeleton(states[n - 1], states[n], K, seed=7, clip=n, video_seed=0)
                  for n in range(1, N + 1)]
         if distinct_ends:
             y_start = [Condition(0, 0.2), Condition(1, 0.9), Condition(0, 0.2), Condition(0, 0.5)]
@@ -200,11 +200,10 @@ class TestGenerateTransition:
         with pytest.raises(InvalidArgument):
             generate_transition([], mask, den, y, y, 0.6)
         with pytest.raises(ShapeMismatch):
-            generate_transition([make_clip_skeleton(u, u, 4, seed=0),
-                                 make_clip_skeleton(u, u, 5, seed=0)], mask, den, y, y, 0.6)
+            generate_transition([make_clip_skeleton(u, u, 4, 0, 0, 0),
+                                 make_clip_skeleton(u, u, 5, 0, 0, 0)], mask, den, y, y, 0.6)
         with pytest.raises(ShapeMismatch):  # one condition per clip
-            generate_transition([make_clip_skeleton(u, u, 4, seed=0)] * 2, mask, den,
-                                [y], y, 0.6)
+            generate_transition([make_clip_skeleton(u, u, 4, 0, 0, 0)] * 2, mask, den, [y], y, 0.6)
 
 
 class TestConcat:
