@@ -20,7 +20,7 @@ from . import io, rng, toydata
 from .denoiser import Condition, GmmDenoiser
 from .errors import InvalidArgument
 from .metrics import make_embedder
-from .pie import PieConfig, stage_step_count
+from .pie import PieConfig, check_fit_stages, check_probe_schedule, stage_step_count
 from .scheduler import build_schedule
 from .toydata import DomainSpec
 
@@ -129,7 +129,7 @@ _CONFIG = {
     "reference_states": ["string"],
     "kid_reference": {"count": ("integer", 2, None), "seed": _SEED},
     "video": {"K": ("integer", 2, None), "gamma": ("number", _POSITIVE, 1), "seed": _SEED},
-    "verify": {"stages": ("integer", 15, None), "seeds": ("integer", 1, None),
+    "verify": {"stages": "integer", "seeds": ("integer", 1, None),
                "delta": ("number", _POSITIVE, None), "x0_scale": "number",
                "burn_in": ("integer", 0, None), "schedule": _SCHEDULE},
     "out_dir": "string",
@@ -186,11 +186,10 @@ class RunConfig:
         _check(raw, _CONFIG, [])
         cfg = cls(raw=_merged(raw), base_dir=Path(base_dir))
         v = cfg.raw["verify"]
-        if v["stages"] - v["burn_in"] < 10:  # the decay-slope fit needs 10 stages
-            raise InvalidArgument(f"verify needs stages - burn_in >= 10, got "
-                                  f"{v['stages']} - {v['burn_in']}")
         try:
-            cfg.seeds(), cfg.embedder(), cfg.verify_schedule()
+            cfg.seeds(), cfg.embedder()
+            check_fit_stages(v["stages"], v["burn_in"])  # the decay suite's input rules
+            check_probe_schedule(cfg.verify_schedule())
             for gamma in (cfg.pie_config().gamma, cfg.raw["video"]["gamma"]):  # ⌊γT⌋ >= 1
                 stage_step_count(gamma, cfg.schedule())
             model = cfg.model()

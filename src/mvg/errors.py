@@ -9,10 +9,6 @@ class ShapeMismatch(InvalidArgument):
     """Two arrays that must share a shape do not."""
 
 
-class DegenerateSchedule(ValueError):
-    """Schedule values make a bound formula undefined (log of zero)."""
-
-
 class DegenerateMixture(ValueError):
     """Mixture responsibilities underflowed everywhere."""
 

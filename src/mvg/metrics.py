@@ -15,16 +15,20 @@ from .errors import DegenerateMixture, InvalidArgument
 from .scheduler import _check_same_shape
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v scaled to unit L2 norm; a zero v has no direction and stays zero, with a warning."""
+    n = np.linalg.norm(v)
+    if n == 0:
+        warnings.warn("zero features have no direction; embedding them as the zero vector")
+        return v
+    return v / n
+
+
 class IdentityEmbedder:
     """Flatten and L2-normalize; zero images embed to the zero vector."""
 
     def __call__(self, x) -> np.ndarray:
-        v = np.asarray(x, dtype=np.float64).ravel()
-        n = np.linalg.norm(v)
-        if n == 0:
-            warnings.warn("zero input has no direction; embedding it as the zero vector")
-            return v
-        return v / n
+        return _unit(np.asarray(x, dtype=np.float64).ravel())
 
 
 class RandomProjectionEmbedder:
@@ -43,12 +47,7 @@ class RandomProjectionEmbedder:
 
     def __call__(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=np.float64).ravel()
-        f = v @ self._matrix(v.size)
-        n = np.linalg.norm(f)
-        if n == 0:
-            warnings.warn("zero projection; embedding as the zero vector")
-            return f
-        return f / n
+        return _unit(v @ self._matrix(v.size))
 
 
 def make_embedder(kind: str = "identity", out_dim: int = 64, seed: int = 0):

@@ -18,6 +18,7 @@ returns row b as its (N_b + 1, *event) view.
 deltas, the observed C₂ and the drift ‖x_N − x₀‖, O(B) images at any stage.
 ``check_bound_suite`` turns those probes into the verify_report.json dict,
 bounds and checks alike, under the schedule the probes record they ran under.
+``check_fit_stages`` and ``check_probe_schedule`` state the suite's input rules.
 ``composite_roi`` blends one image or a (B, *plane) batch against one mask,
 with β₁, β₂ shared or one per row.
 Every L2 norm of an image (a run's or a probe's step deltas, C₁, the observed
@@ -28,12 +29,12 @@ equals a per-row ``np.linalg.norm`` bit for bit, so batching moves no output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .errors import DegenerateSchedule, InvalidArgument, ShapeMismatch
+from .errors import InvalidArgument, ShapeMismatch
 from .scheduler import (NoiseSchedule, _check_batch, _check_same_shape, ddim_chain, ddim_step,
                         forward_diffuse)
 
@@ -66,19 +67,11 @@ class ConvergenceBound:
     log_constant: float
     n_min: int
     kappa: float
-    delta: float
     alpha0: float  # cumulative level where a stage's single reverse step lands
-    alpha1: float  # cumulative level the stage rolls forward to
 
     def envelope(self, n) -> np.ndarray:
         """(√ᾱ₀)ⁿ·exp(C): the bound on the stage-n step delta."""
         return np.sqrt(self.alpha0) ** np.asarray(n) * math.exp(self.log_constant)
-
-    def n_min_for(self, delta: float) -> int:
-        if not math.isfinite(self.log_constant):
-            return 0
-        raw = 2.0 / math.log(self.alpha0) * (math.log(delta) - self.log_constant)
-        return max(0, math.ceil(raw))
 
 
 def _row_norms(a) -> np.ndarray:
@@ -197,6 +190,19 @@ def pie_run(x0, y_target, cfg, d, m, seeds) -> list[np.ndarray]:
     return [row[:N + 1] for row, N in zip(states, n_stages)]
 
 
+def check_fit_stages(stages: int, burn_in: int) -> None:
+    """The decay suite's first input rule: the slope fit takes 10 stages past burn_in."""
+    if stages - burn_in < 10:
+        raise InvalidArgument("the decay-slope fit needs stages - burn_in >= 10, "
+                              f"got {stages} - {burn_in}")
+
+
+def check_probe_schedule(s: NoiseSchedule) -> None:
+    """The decay suite's second input rule: a probe rolls to level 2, so T >= 2."""
+    if s.T < 2:
+        raise InvalidArgument(f"the decay suite needs a schedule with T >= 2, got T = {s.T}")
+
+
 def step_decay_fit(deltas, burn_in: int) -> float:
     """Least-squares slope of log step deltas vs. stage index after burn_in,
     given the N deltas of stages 1..N.
@@ -206,8 +212,7 @@ def step_decay_fit(deltas, burn_in: int) -> float:
     """
     deltas = np.asarray(deltas, dtype=np.float64)
     N = len(deltas)
-    if N - burn_in < 10:
-        raise InvalidArgument(f"need N - burn_in >= 10, got {N} - {burn_in}")
+    check_fit_stages(N, burn_in)
     stages = np.arange(1, N + 1)
     keep = (stages > burn_in) & (deltas > 0)
     if keep.sum() < 2:
@@ -219,24 +224,20 @@ def prop2_bound(s: NoiseSchedule, C1: float, C2: float, delta: float) -> Converg
     """Decay constants from the schedule's stage pair (landing, rolled) levels.
 
     The stage's single reverse step lands at cumulative ᾱ₀ := alpha_bars[1]
-    after rolling to ᾱ₁ := alpha_bars[2]; ᾱ₀ = 1 has no decay and is rejected.
+    after rolling to ᾱ₁ := alpha_bars[2]; a valid schedule has ᾱ₀ < 1. n_min is
+    the first stage whose envelope (√ᾱ₀)ⁿ·e^C falls to delta, 0 when C is not finite.
     """
     if C1 < 0 or C2 < 0 or delta <= 0:
         raise InvalidArgument("need C1, C2 >= 0 and delta > 0")
-    if s.T < 2:
-        raise InvalidArgument("bound needs a schedule with T >= 2 (landing and rolled levels)")
+    check_probe_schedule(s)
     a0, a1 = float(s.alpha_bars[1]), float(s.alpha_bars[2])
-    if a0 == 1.0:
-        raise DegenerateSchedule("alpha_bar at the landing step is exactly 1")
     lam = abs(math.sqrt(a0 - a0 * a1) - math.sqrt(a1 - a0 * a1)) / math.sqrt(a1)
     arg = (1.0 / math.sqrt(a0) - 1.0) * C1 + lam * C2
     log_c = math.log(arg) if arg > 0 else -math.inf
-    kappa = arg / (1.0 - math.sqrt(a0))
-    bound = ConvergenceBound(
-        lam=lam, log_constant=log_c, n_min=0, kappa=kappa,
-        delta=delta, alpha0=a0, alpha1=a1,
-    )
-    return replace(bound, n_min=bound.n_min_for(delta))
+    n_min = (max(0, math.ceil(2.0 / math.log(a0) * (math.log(delta) - log_c)))
+             if math.isfinite(log_c) else 0)
+    return ConvergenceBound(lam=lam, log_constant=log_c, n_min=n_min,
+                            kappa=arg / (1.0 - math.sqrt(a0)), alpha0=a0)
 
 
 def diff_heatmap(a, b) -> np.ndarray:
@@ -277,8 +278,7 @@ def decay_probe_run(x0, denoiser, y, n_stages: int, seeds) -> DecayProbes:
     Only the current states are held, not the trajectories.
     """
     s = denoiser.schedule
-    if s.T < 2:
-        raise InvalidArgument("decay probe needs T >= 2")
+    check_probe_schedule(s)
     _check_seeds(seeds)
     x0 = np.asarray(x0, dtype=np.float64)
     eps = _noise(x0.shape, seeds, rng.PROBE)

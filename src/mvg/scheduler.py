@@ -24,24 +24,23 @@ from .errors import InvalidArgument, ShapeMismatch
 class NoiseSchedule:
     """Per-step variance increments and their cumulative products.
 
-    betas has length T; alpha_bars has length T+1 with alpha_bars[0] = 1.
+    betas has length T; alpha_bars has length T+1 and falls strictly from
+    alpha_bars[0] = 1 while staying above 0, so every step adds noise.
     """
 
-    T: int
     betas: np.ndarray
     alpha_bars: np.ndarray
 
     def __post_init__(self):
-        if self.T < 1:
-            raise InvalidArgument(f"T must be >= 1, got {self.T}")
-        if len(self.betas) != self.T or len(self.alpha_bars) != self.T + 1:
-            raise InvalidArgument("schedule table lengths do not match T")
-        if self.alpha_bars[0] != 1.0:
-            raise InvalidArgument("alpha_bars[0] must be exactly 1")
-        if not np.all(np.diff(self.alpha_bars) < 0):
-            raise InvalidArgument("alpha_bars must be strictly decreasing")
-        if not (np.all(self.alpha_bars > 0) and np.all(self.alpha_bars <= 1)):
-            raise InvalidArgument("alpha_bars must lie in (0, 1]")
+        ab = self.alpha_bars
+        if self.T < 1 or len(ab) != self.T + 1:
+            raise InvalidArgument(f"need T >= 1 betas and T + 1 alpha_bars, got {self.T}, {len(ab)}")
+        if not (ab[0] == 1.0 and np.all(np.diff(ab) < 0) and ab[-1] > 0):
+            raise InvalidArgument("alpha_bars must fall strictly from exactly 1 and stay above 0")
+
+    @property
+    def T(self) -> int:
+        return len(self.betas)
 
     def to_dict(self) -> dict:
         return {
@@ -73,7 +72,7 @@ def build_schedule(T: int, beta_start: float | None = None, beta_end: float | No
     # extended-precision running product keeps the small-T bound constants stable
     bars = np.cumprod((1.0 - betas).astype(np.longdouble))
     alpha_bars = np.concatenate([[1.0], bars.astype(np.float64)])
-    return NoiseSchedule(T=T, betas=betas, alpha_bars=alpha_bars)
+    return NoiseSchedule(betas=betas, alpha_bars=alpha_bars)
 
 
 def _check_step(t: int, s: NoiseSchedule) -> int:

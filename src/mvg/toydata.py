@@ -46,6 +46,12 @@ class DomainSpec:
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(self.classes))
         object.__setattr__(self, "severity_grid", tuple(self.severity_grid))
+        if not self.severity_grid:
+            raise InvalidArgument("severity_grid needs at least one severity")
+        if not all(0 <= s <= 1 for s in self.severity_grid):
+            raise InvalidArgument(f"severity_grid {list(self.severity_grid)} leaves [0,1]")
+        if self.noise_sigma < 0:
+            raise InvalidArgument(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         for c in self.classes:
             r_max = c.base_radius + self.radius_gain
             if r_max > min(self.height, self.width) / 2:
@@ -94,8 +100,6 @@ def render_mean(spec: DomainSpec, class_id: int, severity: float) -> np.ndarray:
 
 def build_domain(spec: DomainSpec) -> GmmModel:
     """One component per (class, grid severity), uniform weights, variance σ²."""
-    if not spec.classes:
-        raise InvalidArgument("domain needs at least one class")
     var = max(spec.noise_sigma**2, 1e-300)
     mixtures = {}
     for c in spec.classes:

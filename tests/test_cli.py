@@ -157,6 +157,8 @@ class TestTensorIO:
 # test TestConfig::test_loader_agrees_with_schema compares with, tightened
 # with the loader: mask, start and embedder take only the keys their kind
 # reads (_kinds), and a file mask may hold the sha256 that load records.
+# verify.stages has no bound of its own: the decay suite's rule on stages
+# and burn_in, which no schema can state, is in _constructor_rejects.
 _CONDITION = {
     "type": "object",
     "properties": {
@@ -254,7 +256,7 @@ SCHEMA = {
         "verify": {
             "type": "object",
             "properties": {
-                "stages": {"type": "integer", "minimum": 15},
+                "stages": {"type": "integer"},
                 "seeds": {"type": "integer", "minimum": 1},
                 "delta": {"type": "number", "exclusiveMinimum": 0},
                 "x0_scale": {"type": "number"},
@@ -375,6 +377,11 @@ def _mutations(base):
                   [], [1, 1], [2, -1], {"count": 0}, {"start": 1}, {"count": 2, "start": -1},
                   {"count": 2, "step": 1}, {"count": 2.0}, {"count": 10**30}):
         yield f"seeds={seeds!r}", _with(base, ("seeds",), seeds)
+    burn_in = _merged(base)["verify"]["burn_in"]  # either side of the decay suite's input rules
+    for stages in (burn_in + 9, burn_in + 10):
+        yield f"verify.stages={stages}", _with(base, ("verify", "stages"), stages)
+    for T in (1, 2):
+        yield f"verify.schedule.T={T}", _with(base, ("verify", "schedule", "T"), T)
 
 
 def _non_finite(raw) -> bool:
@@ -395,7 +402,9 @@ def _constructor_rejects(raw, base_dir) -> bool:
             model.mixture(Condition(**c["condition"][side]))
         PieConfig(**c["pie"])
         build_schedule(**c["schedule"])
-        build_schedule(**c["verify"]["schedule"])
+        v = c["verify"]  # the decay suite fits 10 stages past burn_in on a T >= 2 schedule
+        if v["stages"] - v["burn_in"] < 10 or build_schedule(**v["schedule"]).T < 2:
+            return True
         make_embedder(**c["embedder"])
         if c["mask"]["kind"] == "file":
             mask = io.read_tensor(base_dir / c["mask"]["path"])
@@ -531,13 +540,34 @@ class TestConfig:
             RunConfig.from_dict(overrides)
 
     def test_burn_in_leaving_too_few_stages_rejected(self, tmp_path):
-        # the decay-slope fit needs 10 stages after burn-in; rejected before any run
-        with pytest.raises(InvalidArgument, match="burn_in"):
-            RunConfig.from_dict({"verify": {"stages": 15, "burn_in": 10, "seeds": 3}})
+        """Load refuses a verify section by the decay suite's own input rules,
+        10 fitted stages past burn_in and a probe schedule with T >= 2, and by
+        no other bound on stages; a refused config writes nothing."""
         RunConfig.from_dict({"verify": {"stages": 15, "burn_in": 5}})
-        path = write_config(tmp_path, {"verify": {"stages": 20, "burn_in": 11}})
-        assert main(["verify-bounds", "--config", str(path), "--out", str(tmp_path / "v")]) == 1
-        assert not (tmp_path / "v").exists()
+        RunConfig.from_dict({"verify": {"stages": 12, "burn_in": 0}})
+        for bad, match in [({"stages": 15, "burn_in": 10, "seeds": 3}, "burn_in"),
+                           ({"stages": 14, "burn_in": 5}, "burn_in"),
+                           ({"stages": 20, "burn_in": 11}, "burn_in"),
+                           ({"schedule": {"T": 1, "beta_start": 0.1, "beta_end": 0.1}}, "T >= 2")]:
+            with pytest.raises(InvalidArgument, match="config invalid: .*" + match):
+                RunConfig.from_dict({"verify": bad})
+            path = write_config(tmp_path, {"verify": bad})
+            assert main(["verify-bounds", "--config", str(path), "--out", str(tmp_path / "v")]) == 1
+            assert not (tmp_path / "v").exists()
+
+    @pytest.mark.parametrize("domain, match", [
+        ({"severity_grid": [0.0, 0.5, 1.7]}, "leaves"),
+        ({"severity_grid": [-0.1, 0.5]}, "leaves"),
+        ({"severity_grid": []}, "severity_grid needs at least one severity"),
+        ({"noise_sigma": -0.05}, "noise_sigma must be >= 0"),
+    ], ids=["grid_above_one", "grid_below_zero", "empty_grid", "negative_sigma"])
+    def test_domain_value_out_of_range_rejected(self, tmp_path, domain, match):
+        # render_mean would clamp a grid entry, and σ² hides a negative σ
+        path = write_config(tmp_path, {"domain": domain})
+        with pytest.raises(InvalidArgument, match="config invalid: .*" + match):
+            RunConfig.load(path)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", [4.0, True], ids=["integral_float", "bool"])
     @pytest.mark.parametrize("section, key", [("pie", "N"), ("video", "K"), ("seeds", "count"),

@@ -14,7 +14,7 @@ from mvg import (Condition, GmmDenoiser, GmmModel, Mixture, PieConfig,
                  step_decay_fit)
 from mvg import rng as mvg_rng
 from mvg.denoiser import mixture_logpdf
-from mvg.errors import DegenerateSchedule, InvalidArgument, ShapeMismatch
+from mvg.errors import InvalidArgument, ShapeMismatch
 from mvg.pie import _noise, _row_norms, check_bound_suite, decay_probe_run, stage_step_count
 from mvg.scheduler import ddim_step
 from mvg.transition import generate_transition
@@ -274,6 +274,61 @@ class TestPieRun:
             PieConfig(beta2=1.5)
 
 
+# On a one-component prior N(μ, σ²I), ε̂ is affine in x, so a pie_run stage is
+# a per-pixel affine map. The two evaluation orders differ by rounding only
+# (about 1e-15 relative); the bound leaves a factor of 100 over that.
+PIE_ORACLE_RTOL = 1e-13
+
+
+def chain_coefficients(s, k: int, var: float) -> tuple[float, float]:
+    """(p_k, q_k) with ddim_chain from level k equal to x ↦ p_k·x + q_k·μ under
+    the prior N(μ, var·I): each step x ↦ a_t·x + b_t·μ composed from t = k down to 1."""
+    p, q = 1.0, 0.0
+    for t in range(k, 0, -1):
+        ab, ab_prev = s.alpha_bars[t], s.alpha_bars[t - 1]
+        v = ab * var + 1.0 - ab
+        e, f = math.sqrt(1 - ab) / v, math.sqrt(1 - ab) * math.sqrt(ab) / v  # ε̂ = e·x − f·μ
+        r = math.sqrt(ab_prev) / math.sqrt(ab)
+        a = r * (1 - math.sqrt(1 - ab) * e) + math.sqrt(1 - ab_prev) * e
+        b = r * math.sqrt(1 - ab) * f - math.sqrt(1 - ab_prev) * f
+        p, q = a * p, a * q + b
+    return p, q
+
+
+def pie_oracle(x0, mu, var, s, cfg, mask, eps) -> np.ndarray:
+    """States x_0..x_N of pie_run in closed form, given the noise eps[n-1] of stage n:
+    x_n = x₀ + B ⊙ (p_k·(√ᾱ_k·x_{n−1} + √(1−ᾱ_k)·ε_n) + q_k·μ − x₀), B = β₁(1−M) + β₂M."""
+    k = stage_step_count(cfg.gamma, s)
+    p, q = chain_coefficients(s, k, var)
+    ab = s.alpha_bars[k]
+    B = cfg.beta1 * (1 - mask) + cfg.beta2 * mask
+    states = [x0]
+    for e in eps:
+        x_gen = p * (math.sqrt(ab) * states[-1] + math.sqrt(1 - ab) * e) + q * mu
+        states.append(x0 + B * (x_gen - x0))
+    return np.array(states)
+
+
+class TestPieOracle:
+    def test_pie_run_matches_closed_form(self, sched50):
+        """Every seed's states match the affine closed form: random μ, σ 0.05,
+        T 50, γ 0.6, the default disk mask and the shipped β's."""
+        gen = np.random.default_rng(11)
+        mu, x0 = gen.uniform(0, 1, (16, 16)), gen.uniform(0, 1, (16, 16))
+        var = 0.05 ** 2
+        den = GmmDenoiser(GmmModel({0: Mixture(np.array([1.0]), mu[None], np.array([var]))}),
+                          sched50)
+        mask = RunConfig.from_dict({}).mask()
+        cfg = PieConfig(N=10, gamma=0.6, beta1=0.01, beta2=0.75)
+        seeds = range(8)
+        runs = pie_run(x0, Condition(0), cfg, den, mask, seeds)
+        for seed, states in zip(seeds, runs):
+            eps = [mvg_rng.normal(x0.shape, seed, mvg_rng.EDIT, n) for n in range(1, cfg.N + 1)]
+            want = pie_oracle(x0, mu, var, sched50, cfg, mask, eps)
+            err = np.abs(states - want).max() / np.abs(want).max()
+            assert err <= PIE_ORACLE_RTOL, (seed, err)
+
+
 class TestStepDecayFit:
     def test_constant_deltas_slope_zero(self):
         assert step_decay_fit(np.full(20, 0.5), burn_in=2) == pytest.approx(0.0, abs=1e-12)
@@ -327,21 +382,8 @@ class TestProp2Bound:
 
     def test_n_min_monotone_in_delta(self):
         s = verify_schedule()
-        b = prop2_bound(s, 1.0, 1.0, 0.5)
-        n_mins = [b.n_min_for(d) for d in (0.5, 0.1, 0.01, 0.001)]
+        n_mins = [prop2_bound(s, 1.0, 1.0, d).n_min for d in (0.5, 0.1, 0.01, 0.001)]
         assert n_mins == sorted(n_mins)
-
-    def test_degenerate_alpha0_signaled(self):
-        # valid schedules cannot reach alpha_bars[1] == 1 (strict decrease),
-        # so exercise the guard on a hand-built table
-        from mvg.scheduler import NoiseSchedule
-        s = object.__new__(NoiseSchedule)
-        for name, val in (("T", 2), ("betas", np.array([0.0, 0.1])),
-                          ("alphas", np.array([1.0, 0.9])),
-                          ("alpha_bars", np.array([1.0, 1.0, 0.9]))):
-            object.__setattr__(s, name, val)
-        with pytest.raises(DegenerateSchedule):
-            prop2_bound(s, 1.0, 1.0, 0.01)
 
     def test_needs_two_steps(self):
         with pytest.raises(InvalidArgument):
